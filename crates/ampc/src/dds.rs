@@ -1,7 +1,8 @@
 //! Distributed data stores: the key-value storage AMPC machines communicate
 //! through.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -102,14 +103,51 @@ impl StoreRead for DataStore {
     }
 }
 
+/// A deterministic multiply-rotate hasher over machine words, for
+/// [`DataStore`] keys.
+///
+/// Keys are at most three words and, in every algorithm here, dense node
+/// ids below the input's node cap, so there is nothing adversarial to
+/// defend against: a keyed SipHash would only cost time on every probe.
+/// The hash is a fixed function of the key, so a store's layout (and
+/// iteration order) is the same in every run.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// An odd multiplier with well-spread bits (the Fx hash constant).
+    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A distributed key-value data store (`D_i` in the paper).
 ///
-/// The store itself is a plain hash map; the *access restrictions* (which
-/// round may read or write it, and with what budget) are enforced by
-/// [`crate::AmpcExecutor`] / [`crate::MachineContext`], not by the store.
+/// The store itself is a plain hash map with a deterministic word hasher;
+/// the *access restrictions* (which round may read or write it, and with
+/// what budget) are enforced by [`crate::AmpcExecutor`] /
+/// [`crate::MachineContext`], not by the store.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DataStore {
-    entries: HashMap<Key, Value>,
+    entries: HashMap<Key, Value, BuildHasherDefault<WordHasher>>,
 }
 
 impl DataStore {
@@ -137,6 +175,11 @@ impl DataStore {
     /// paper's terminology).
     pub fn get(&self, key: Key) -> Option<Value> {
         self.entries.get(&key).copied()
+    }
+
+    /// The entry of `key`, for single-probe merges.
+    pub(crate) fn entry(&mut self, key: Key) -> hash_map::Entry<'_, Key, Value> {
+        self.entries.entry(key)
     }
 
     /// Returns `true` if `key` is present.
@@ -224,6 +267,34 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(store.space_in_words(), (1 + 2) + (3 + 1));
+    }
+
+    #[test]
+    fn word_hasher_is_deterministic_and_spreads_dense_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let hash = |key: Key| build.hash_one(key);
+        assert_eq!(hash(Key::single(7)), hash(Key::single(7)));
+        assert_ne!(hash(Key::single(1)), hash(Key::pair(1, 0)));
+        // Dense ids land in distinct buckets of a power-of-two table (low
+        // bits, as the map indexes) and distinct control tags (top bits).
+        let low: std::collections::HashSet<u64> = (0..1024u64)
+            .map(|id| hash(Key::single(id)) & 1023)
+            .collect();
+        assert!(
+            low.len() > 600,
+            "only {} of 1024 low-bit buckets",
+            low.len()
+        );
+        let top: std::collections::HashSet<u64> =
+            (0..1024u64).map(|id| hash(Key::single(id)) >> 57).collect();
+        assert_eq!(top.len(), 128, "every 7-bit tag is used");
+        // A partial trailing chunk still feeds the hash.
+        let mut a = WordHasher::default();
+        a.write(&[1, 2, 3]);
+        let mut b = WordHasher::default();
+        b.write(&[1, 2, 4]);
+        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

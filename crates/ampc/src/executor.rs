@@ -1,5 +1,6 @@
 //! The AMPC round executor and per-machine access contexts.
 
+use std::collections::hash_map::Entry;
 use std::time::Instant;
 
 use crate::config::AmpcConfig;
@@ -70,7 +71,7 @@ impl ConflictPolicy {
 pub struct MachineContext<'a> {
     machine: usize,
     input: &'a dyn StoreRead,
-    writes: Vec<(Key, Value)>,
+    writes: &'a mut Vec<(Key, Value)>,
     reads_used: usize,
     read_budget: usize,
     write_budget: usize,
@@ -91,6 +92,12 @@ impl std::fmt::Debug for MachineContext<'_> {
 impl<'a> MachineContext<'a> {
     /// Creates the access context one machine gets for one round.
     ///
+    /// Writes are buffered in `writes`, which is cleared first: a backend
+    /// passes the same buffer to every machine it drives, so buffering
+    /// allocates only while the buffer grows to the largest machine's
+    /// output. After the body ran, the buffer holds the machine's writes in
+    /// write order.
+    ///
     /// Public so that alternative [`crate::AmpcExecutor`]-like backends (the
     /// parallel runtime crate) can drive machines with exactly the same
     /// budget enforcement as the sequential executor; algorithm code should
@@ -100,11 +107,13 @@ impl<'a> MachineContext<'a> {
         input: &'a dyn StoreRead,
         read_budget: usize,
         write_budget: usize,
+        writes: &'a mut Vec<(Key, Value)>,
     ) -> Self {
+        writes.clear();
         MachineContext {
             machine,
             input,
-            writes: Vec::new(),
+            writes,
             reads_used: 0,
             read_budget,
             write_budget,
@@ -176,14 +185,6 @@ impl<'a> MachineContext<'a> {
     pub fn reads_remaining(&self) -> usize {
         self.read_budget.saturating_sub(self.reads_used)
     }
-
-    /// Consumes the context and returns its buffered writes, in write order.
-    ///
-    /// For backend implementations merging machine outputs into the next
-    /// round's store.
-    pub fn into_writes(self) -> Vec<(Key, Value)> {
-        self.writes
-    }
 }
 
 /// Executes AMPC rounds against a sequence of data stores and records
@@ -197,6 +198,8 @@ pub struct AmpcExecutor {
     config: AmpcConfig,
     store: DataStore,
     metrics: AmpcMetrics,
+    /// The write buffer every machine context borrows in turn.
+    writes: Vec<(Key, Value)>,
 }
 
 impl AmpcExecutor {
@@ -206,6 +209,7 @@ impl AmpcExecutor {
             config,
             store: initial,
             metrics: AmpcMetrics::default(),
+            writes: Vec::new(),
         }
     }
 
@@ -303,29 +307,30 @@ impl AmpcExecutor {
         let read_budget = self.config.read_budget();
         let write_budget = self.config.write_budget();
 
-        let mut next = if carry_forward {
-            self.store.clone()
-        } else {
-            DataStore::new()
-        };
-        let mut written_this_round: std::collections::HashMap<Key, Value> =
-            std::collections::HashMap::new();
+        // Each write is merged into the next store with one probe; keys no
+        // machine wrote are carried forward afterwards.
+        let mut next = DataStore::new();
         let mut conflict_merges = 0usize;
 
         let mut report = RoundReport::new(self.metrics.num_rounds(), machines);
 
         for machine in 0..machines {
-            let mut ctx =
-                MachineContext::for_round(machine, &self.store, read_budget, write_budget);
+            let mut ctx = MachineContext::for_round(
+                machine,
+                &self.store,
+                read_budget,
+                write_budget,
+                &mut self.writes,
+            );
             body(machine, &mut ctx)?;
             report.record_machine(ctx.reads_used, ctx.writes.len());
 
-            for (key, value) in ctx.writes.drain(..) {
-                match written_this_round.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(entry) => {
+            for &(key, value) in &self.writes {
+                match next.entry(key) {
+                    Entry::Vacant(entry) => {
                         entry.insert(value);
                     }
-                    std::collections::hash_map::Entry::Occupied(mut entry) => {
+                    Entry::Occupied(mut entry) => {
                         conflict_merges += 1;
                         let resolved = policy.resolve(&key, *entry.get(), value)?;
                         entry.insert(resolved);
@@ -334,8 +339,10 @@ impl AmpcExecutor {
             }
         }
 
-        for (key, value) in written_this_round {
-            next.insert(key, value);
+        if carry_forward {
+            for (&key, &value) in self.store.iter() {
+                next.entry(key).or_insert(value);
+            }
         }
 
         report.finish(next.space_in_words());

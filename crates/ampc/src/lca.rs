@@ -91,15 +91,17 @@ impl<'g> LcaOracle<'g> {
     }
 
     /// Queries the full adjacency list of `v`, charging `degree(v)` queries
-    /// (one per adjacency-list entry) plus one for the degree probe.
+    /// (one per adjacency-list entry) plus one for the degree probe. The
+    /// list is borrowed from the graph, so exploring a node copies nothing.
     ///
     /// # Errors
     ///
-    /// [`ModelError::QueryBudgetExceeded`] once the budget is exhausted.
-    pub fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>, ModelError> {
-        let degree = self.degree(v)?;
-        self.charge_many(degree)?;
-        Ok(self.graph.neighbors(v).to_vec())
+    /// [`ModelError::QueryBudgetExceeded`] when the `1 + degree(v)` queries
+    /// do not fit the remaining budget; the call is then not charged at all.
+    pub fn neighbors(&self, v: NodeId) -> Result<&'g [NodeId], ModelError> {
+        let graph: &'g CsrGraph = self.graph;
+        self.charge_many(1 + graph.degree(v))?;
+        Ok(graph.neighbors(v))
     }
 
     /// Number of queries issued so far.
@@ -159,7 +161,7 @@ mod tests {
         assert_eq!(oracle.neighbor(0, 9).unwrap(), None);
         assert_eq!(oracle.queries_used(), 3);
         let all = oracle.neighbors(2).unwrap();
-        assert_eq!(all, vec![0]);
+        assert_eq!(all, &[0]);
         assert_eq!(oracle.queries_used(), 3 + 1 + 1);
     }
 
@@ -182,8 +184,17 @@ mod tests {
     fn neighbors_respects_budget_atomically() {
         let g = star();
         let oracle = LcaOracle::with_budget(&g, 3);
-        // degree probe (1) + 4 adjacency probes > 3.
-        assert!(oracle.neighbors(0).is_err());
+        assert!(oracle.degree(4).is_ok());
+        // degree probe (1) + 4 adjacency probes > the 2 queries left.
+        assert_eq!(
+            oracle.neighbors(0).unwrap_err(),
+            ModelError::QueryBudgetExceeded { budget: 3 }
+        );
+        // The failed call charged nothing, not even its degree probe.
+        assert_eq!(oracle.queries_used(), 1);
+        // What still fits goes through: leaf 1 costs 1 + 1 queries.
+        assert_eq!(oracle.neighbors(1).unwrap(), &[0]);
+        assert_eq!(oracle.queries_used(), 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Intra-layer seq-vs-parallel wall-clock matrix for the LOCAL simulators.
+//! Intra-layer seq-vs-parallel wall-clock matrix for the LOCAL simulators
+//! and the AMPC β-partition.
 //!
 //! The round primitives (`ampc_runtime::RoundPrimitives`) parallelize the
 //! per-node loops *inside* the simulators — this bin measures what that
@@ -7,7 +8,7 @@
 //! cannot help. Every parallel run is checked bit-identical to the
 //! sequential reference before its timing is reported.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * **balanced** — degeneracy-oriented forest-union / power-law graphs
 //!   (near-uniform per-node cost), the PR 3 matrix, plus the derand
@@ -24,6 +25,12 @@
 //!   is verified byte-identical to the `off` reference before its timing
 //!   is reported. The speedup column of a relabeled row is therefore the
 //!   pure memory-layout win.
+//! * **partition** — the AMPC β-partition (x = 4) on forest-union (β = 5)
+//!   and power-law m = 8 (β = 23) graphs at threads 1 (sequential
+//!   backend) and 2 (parallel backend), checked identical in partition and
+//!   model metrics. Its `allocs_per_round` counts allocations per AMPC
+//!   round of `n` machines, so the alloc gate holds every machine of a
+//!   partition round to allocation-free execution.
 //!
 //! ```text
 //! # smoke: small graphs, assert bit-identity, exit non-zero on mismatch
@@ -80,12 +87,14 @@ fn allocations_now() -> u64 {
 use ampc_coloring_bench::args::{has_flag, parse_flag};
 use ampc_coloring_bench::{Table, Workload};
 use ampc_runtime::trace::TraceContext;
+use ampc_runtime::RuntimeConfig;
 use ampc_runtime::{perf, simd, PerfCounters, RoundPrimitives};
 use arbo_coloring::{
     arb_linial_coloring_with_runtime, derandomized_coloring_relabeled,
     derandomized_coloring_with_runtime, kw_color_reduction_with_runtime, ArbLinialResult,
     DerandColoringResult, DerandParams, KwReductionResult,
 };
+use beta_partition::{ampc_beta_partition, AmpcPartitionResult, PartitionParams};
 use sparse_graph::{relabel, Coloring, CsrGraph, Orientation, RelabelPolicy};
 
 /// Orients every edge along the degeneracy order — the low out-degree
@@ -222,7 +231,8 @@ fn main() {
          equal-width grid; relabel != off rows run on a cache-aware permuted graph and \
          are verified to un-permute to the relabel=off reference; parallel runs \
          verified bit-identical to threads=1; allocs_per_round = heap allocations per \
-         simulated LOCAL round (0 = built without the alloc-count feature); \
+         simulated LOCAL round, or per AMPC round of n machines for the partition rows \
+         (0 = built without the alloc-count feature); \
          cycles/instructions/ipc/cache_miss_pct/branch_misses come from perf_event_open \
          sampling of the best rep and read 0/'-' when the `perf_available` meta is false; \
          simd_path is the per-process GF(2) kernel dispatch tier (avx2/sse2/scalar), a \
@@ -245,6 +255,12 @@ fn main() {
             "simd_path",
             "identical",
         ],
+    );
+    table.push_meta(
+        "nproc",
+        std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .to_string(),
     );
     table.push_meta("perf_available", perf::available().to_string());
     table.push_meta("simd_available", simd::available().to_string());
@@ -551,6 +567,67 @@ fn main() {
                 wall,
                 identical,
                 intra_tasks: derand_tasks,
+                allocs_per_round: allocs / rounds.max(1) as u64,
+                perf: perf_delta,
+            });
+        }
+    }
+
+    // Section 4 — partition: the AMPC β-partition of Theorem 1.2 (x = 4),
+    // the phase that dominates a coloring job. threads = 1 is the
+    // sequential backend the service runs by default, threads = 2 the
+    // sharded parallel backend; both must produce the identical partition
+    // and model metrics. A round here is one AMPC round of `n` machines,
+    // so `allocs_per_round` gates per-machine allocation in the coin game,
+    // the machine contexts and the round merge.
+    for (workload, beta) in [
+        (Workload::ForestUnion { n, k: 2 }, 5usize),
+        (
+            Workload::PowerLaw {
+                n,
+                edges_per_node: 8,
+            },
+            23,
+        ),
+    ] {
+        let graph = workload.build(7);
+        let mut reference: Option<AmpcPartitionResult> = None;
+        for &t in threads.iter().filter(|&&t| t <= 2) {
+            let runtime = if t == 1 {
+                RuntimeConfig::Sequential
+            } else {
+                RuntimeConfig::parallel().with_threads(t)
+            };
+            let params = PartitionParams::new(beta).with_x(4).with_runtime(runtime);
+            let (wall, allocs, perf_delta, result) = best_of(reps, || {
+                ampc_beta_partition(&graph, &params).expect("beta exceeds twice the arboricity")
+            });
+            let rounds = result.rounds;
+            let pool_tasks: u64 = result
+                .metrics
+                .runtime_stats()
+                .iter()
+                .flat_map(|stats| stats.pool_tasks_per_worker.iter())
+                .sum();
+            let identical = match &reference {
+                None => {
+                    reference = Some(result);
+                    true
+                }
+                Some(reference) => {
+                    reference.partition == result.partition && reference.metrics == result.metrics
+                }
+            };
+            all_identical &= identical;
+            cells.push(Cell {
+                workload: format!("{}+beta={beta}", workload.label()),
+                simulator: "partition",
+                scheduler: "-",
+                relabel: "off",
+                threads: t,
+                wall,
+                identical,
+                intra_tasks: pool_tasks,
                 allocs_per_round: allocs / rounds.max(1) as u64,
                 perf: perf_delta,
             });

@@ -56,18 +56,25 @@ impl InducedSubgraph {
             }
         }
 
-        let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); local_to_original.len()];
-        for (local_u, &orig_u) in local_to_original.iter().enumerate() {
-            for &orig_w in parent.neighbors(orig_u) {
-                if let Some(local_w) = original_to_local[orig_w] {
-                    adjacency[local_u].push(local_w);
-                }
-            }
-            adjacency[local_u].sort_unstable();
+        // The CSR arrays are filled row by row in local-id order; a row
+        // lists the retained neighbors, sorted in place.
+        let mut offsets = Vec::with_capacity(local_to_original.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &orig_u in &local_to_original {
+            let start = targets.len();
+            targets.extend(
+                parent
+                    .neighbors(orig_u)
+                    .iter()
+                    .filter_map(|&orig_w| original_to_local[orig_w]),
+            );
+            targets[start..].sort_unstable();
+            offsets.push(targets.len());
         }
 
         InducedSubgraph {
-            graph: CsrGraph::from_sorted_adjacency(adjacency),
+            graph: CsrGraph::from_csr_parts(offsets, targets),
             local_to_original,
             original_to_local,
         }
@@ -151,6 +158,32 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &[]);
         assert_eq!(sub.num_nodes(), 0);
         assert_eq!(sub.graph().num_edges(), 0);
+    }
+
+    #[test]
+    fn flat_build_matches_the_per_node_build_on_a_shuffled_selection() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let parent = crate::generators::preferential_attachment(600, 3, &mut rng);
+        let mut nodes: Vec<NodeId> = parent.nodes().filter(|v| v % 3 != 1).collect();
+        nodes.shuffle(&mut rng);
+        let sub = InducedSubgraph::new(&parent, &nodes);
+        // Reference: one sorted adjacency list per retained node.
+        let adjacency: Vec<Vec<NodeId>> = nodes
+            .iter()
+            .map(|&u| {
+                let mut row: Vec<NodeId> = parent
+                    .neighbors(u)
+                    .iter()
+                    .filter_map(|&w| nodes.iter().position(|&x| x == w))
+                    .collect();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        assert_eq!(sub.graph(), &CsrGraph::from_sorted_adjacency(adjacency));
+        assert_eq!(sub.original_nodes(), &nodes[..]);
     }
 
     #[test]

@@ -19,13 +19,13 @@ use ampc_model::{
     RoundRuntimeStats, Value,
 };
 use ampc_runtime::trace::{span_on, TraceContext};
-use ampc_runtime::RuntimeConfig;
+use ampc_runtime::{RuntimeConfig, ScratchPool};
 use sparse_graph::{CsrGraph, InducedSubgraph, NodeId};
 
 use crate::beta::BetaPartition;
-use crate::coin_game::CoinGameConfig;
+use crate::coin_game::{CoinGameConfig, CoinGameScratch};
 use crate::layer::Layer;
-use crate::lca::partial_partition_lca;
+use crate::lca::partial_partition_lca_with;
 
 /// Errors reported by the AMPC partitioning drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,6 +311,7 @@ pub fn ampc_beta_partition_traced(
     let n = graph.num_nodes();
     let mut partition = BetaPartition::all_infinite(n, params.beta);
     let mut remaining: Vec<NodeId> = graph.nodes().collect();
+    let mut still_remaining: Vec<NodeId> = Vec::new();
     let mut offset = 0usize;
     let mut metrics = AmpcMetrics::default();
     let mut remaining_per_round = Vec::new();
@@ -342,8 +343,10 @@ pub fn ampc_beta_partition_traced(
             .with_arg("round", rounds as u64)
             .with_arg("remaining", remaining.len() as u64);
 
-        let subgraph = InducedSubgraph::new(graph, &remaining);
-        let sub = subgraph.graph();
+        // Round 1 runs on the input graph itself; later rounds on the
+        // subgraph induced by the still-unlayered nodes.
+        let subgraph = (remaining.len() < n).then(|| InducedSubgraph::new(graph, &remaining));
+        let sub = subgraph.as_ref().map_or(graph, InducedSubgraph::graph);
         let sub_n = sub.num_nodes();
 
         // Try the LCA-based round first (unless disabled): machine `v` runs
@@ -351,35 +354,40 @@ pub fn ampc_beta_partition_traced(
         // (one `(node) -> layer` entry per explored node) into the next
         // store; KeepMin merges all proofs into a globally consistent
         // partial β-partition (Lemma 4.10).
-        let mut assigned: Vec<(NodeId, usize)> = Vec::new(); // (local node, local layer)
-        let mut lca_report: Option<RoundReport> = None;
-        let mut peel_report: Option<RoundReport> = None;
-
-        if params.use_lca {
+        let lca_report = if params.use_lca {
             let config = params.coin_game_config(sub_n);
-            let report = backend.round(sub_n, ConflictPolicy::KeepMin, |machine, ctx| {
-                // A fresh oracle view per machine: queries are counted per
-                // machine, exactly the per-node accounting of Lemma 4.7.
-                let oracle = LcaOracle::new(sub);
-                let output = partial_partition_lca(&oracle, machine, &config)?;
-                ctx.note_reads(output.queries);
-                for (&node, &layer) in &output.proof {
-                    ctx.write(Key::single(node as u64), Value::single(layer as u64))?;
-                }
-                Ok(())
-            })?;
-            for v in sub.nodes() {
-                if let Some(value) = backend.get(Key::single(v as u64)) {
-                    assigned.push((v, value.words()[0] as usize));
-                }
-            }
-            lca_report = Some(report);
-        }
+            // One game scratch per worker thread. The scratch borrows the
+            // adjacency lists of this round's graph, so each round owns
+            // its pool.
+            let scratch = ScratchPool::<CoinGameScratch<'_>>::new();
+            Some(
+                backend.round(sub_n, ConflictPolicy::KeepMin, |machine, ctx| {
+                    // A fresh oracle view per machine: queries are counted
+                    // per machine, exactly the per-node accounting of
+                    // Lemma 4.7.
+                    let oracle = LcaOracle::new(sub);
+                    let summary = partial_partition_lca_with(
+                        &oracle,
+                        machine,
+                        &config,
+                        &mut scratch.lease(),
+                        |node, layer| {
+                            ctx.write(Key::single(node as u64), Value::single(layer as u64))
+                        },
+                    )?;
+                    ctx.note_reads(summary.queries);
+                    Ok(())
+                })?,
+            )
+        } else {
+            None
+        };
 
         // Fallback (and the deliberate large-arboricity path): one
         // Barenboim–Elkin peeling layer — every node of residual degree <= β
-        // writes layer 0 for itself.
-        if assigned.is_empty() {
+        // writes layer 0 for itself. A round's store holds exactly the
+        // nodes it layered, so an empty store means the LCA layered none.
+        let peel_report = if lca_report.is_none() || backend.store_len() == 0 {
             peeling_rounds += 1;
             let mut report = backend.round(sub_n, ConflictPolicy::KeepMin, |machine, ctx| {
                 ctx.note_reads(1);
@@ -391,24 +399,31 @@ pub fn ampc_beta_partition_traced(
             // A machine inspects up to β + 1 adjacency entries to certify
             // its low degree; mirror the seed's accounting.
             report.max_reads = report.max_reads.max(params.beta + 1);
-            for v in sub.nodes() {
-                if backend.get(Key::single(v as u64)).is_some() {
-                    assigned.push((v, 0));
-                }
-            }
-            peel_report = Some(report);
-        }
+            Some(report)
+        } else {
+            None
+        };
 
-        if assigned.is_empty() {
+        if backend.store_len() == 0 {
             return Err(PartitionError::Stalled {
                 remaining: remaining.len(),
             });
         }
 
-        let round_max_layer = assigned.iter().map(|&(_, layer)| layer).max().unwrap_or(0);
-        for &(local, layer) in &assigned {
-            let original = subgraph.to_original(local);
-            partition.set_layer(original, Layer::Finite(offset + layer));
+        // One pass over the residual graph: a layered node takes its layer
+        // (shifted by the per-round offset), the rest recurse.
+        let mut round_max_layer = 0usize;
+        still_remaining.clear();
+        for v in sub.nodes() {
+            let original = subgraph.as_ref().map_or(v, |s| s.to_original(v));
+            match backend.get(Key::single(v as u64)) {
+                Some(value) => {
+                    let layer = value.words()[0] as usize;
+                    round_max_layer = round_max_layer.max(layer);
+                    partition.set_layer(original, Layer::Finite(offset + layer));
+                }
+                None => still_remaining.push(original),
+            }
         }
         offset += round_max_layer + 1;
 
@@ -434,13 +449,7 @@ pub fn ampc_beta_partition_traced(
         max_queries_per_node = max_queries_per_node.max(report.max_reads);
         metrics.record(report);
 
-        let assigned_set: std::collections::HashSet<NodeId> =
-            assigned.iter().map(|&(local, _)| local).collect();
-        remaining = sub
-            .nodes()
-            .filter(|v| !assigned_set.contains(v))
-            .map(|v| subgraph.to_original(v))
-            .collect();
+        std::mem::swap(&mut remaining, &mut still_remaining);
     }
 
     // Surface the backend's runtime measurements (wall clock, shard load,

@@ -15,10 +15,27 @@
 //! The forwarding sets prefer neighbors with the *highest* `σ` values, which
 //! is the adaptive rule that makes the exploration provably reach new parts
 //! of the dependency graph (Lemmas 4.2 and 4.3).
+//!
+//! ## Flat state
+//!
+//! A partition round plays one game per residual node, so a game keeps its
+//! whole state in a reusable [`CoinGameScratch`]. Every node the game
+//! touches — `S_v` plus the unexplored neighbors that receive coins — gets
+//! a dense slot, found through an epoch-stamped node → slot map
+//! ([`ampc_runtime::EpochMap`]). Adjacency lists are borrowed from the
+//! oracle, and `σ` levels, forwarding sets and coin amounts live in
+//! slot-indexed vectors, so a game on a warm scratch allocates nothing.
+//!
+//! Coins are `f64`. Each flow iteration visits the holders in ascending
+//! node id and adds shares in forwarding-set order, which fixes the
+//! floating-point summation order of every node's coins. Forwarding sets
+//! are computed on first use within a super-iteration: only coin holders
+//! need one, and `σ` and `S_v` do not change during the flow.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use ampc_model::{LcaOracle, ModelError};
+use ampc_runtime::EpochMap;
 use sparse_graph::NodeId;
 
 use crate::layer::Layer;
@@ -117,13 +134,280 @@ fn log_base_floor(value: usize, base: usize) -> usize {
     result
 }
 
-/// Everything the game knows about an explored node.
-#[derive(Debug, Clone)]
-struct MemberInfo {
-    /// Degree in the (sub)graph the oracle exposes.
-    degree: usize,
-    /// Full adjacency list (queried when the node joined `S_v`).
-    neighbors: Vec<NodeId>,
+/// `σ` of a slot whose node is not layered (yet): `∞`.
+const INFINITE: usize = usize::MAX;
+
+/// Everything one game knows about one node it touched.
+#[derive(Debug, Clone, Default)]
+struct Slot<'g> {
+    node: NodeId,
+    /// Whether the node is in `S_v`.
+    explored: bool,
+    /// The adjacency list, borrowed from the oracle when the node joined
+    /// `S_v` (empty before).
+    neighbors: &'g [NodeId],
+    /// `σ_{S_v,β}` of the current super-iteration ([`INFINITE`] = `∞`);
+    /// set for explored nodes only.
+    level: usize,
+    /// Neighbors still at `∞` while [`CoinGameScratch::induced_levels`]
+    /// peels.
+    infinite_neighbors: usize,
+    /// The forwarding set `forwarding[forward]`, valid while
+    /// `forward_round` is the current super-iteration (rounds count from 1).
+    forward: Range<usize>,
+    forward_round: usize,
+    /// Coins held during the current flow iteration.
+    coins: f64,
+    /// Coins received in flow step `received_at` (steps count from 1).
+    incoming: f64,
+    received_at: usize,
+}
+
+/// The reusable state of one game: every node the game touches gets a
+/// dense slot, found through an epoch-stamped node → slot map over the
+/// oracle's graph, and all per-node data lives in slot-indexed vectors.
+///
+/// A partition round plays one game per residual node, each in a scratch
+/// leased from a pool; once a scratch is warm a game allocates nothing.
+/// [`CoinGame::play`] resets the scratch, so stale contents never leak
+/// into a later game.
+#[derive(Debug, Default)]
+pub(crate) struct CoinGameScratch<'g> {
+    slot_of: EpochMap,
+    slots: Vec<Slot<'g>>,
+    /// Slots of `S_v`, in the order the nodes joined it.
+    explored: Vec<usize>,
+    /// Arena of the current super-iteration's forwarding sets.
+    forwarding: Vec<NodeId>,
+    /// Coin holders of the current flow iteration, ascending node id.
+    holders: Vec<usize>,
+    /// Slots that received coins in the current flow step.
+    receivers: Vec<usize>,
+    /// Peeling frontiers of [`CoinGameScratch::induced_levels`].
+    frontier: Vec<usize>,
+    next_frontier: Vec<usize>,
+    /// Ranking buffer of [`CoinGameScratch::forwarding_set`].
+    ranked: Vec<(u8, usize, NodeId)>,
+}
+
+impl<'g> CoinGameScratch<'g> {
+    /// Forgets the previous game and sizes the node → slot map for a graph
+    /// of `num_nodes` nodes.
+    fn reset(&mut self, num_nodes: usize) {
+        self.slot_of.reset(num_nodes);
+        self.slots.clear();
+        self.explored.clear();
+    }
+
+    /// The slot of `node`, created on first touch.
+    fn slot(&mut self, node: NodeId) -> usize {
+        if let Some(slot) = self.slot_of.get(node) {
+            return slot as usize;
+        }
+        let slot = self.slots.len();
+        self.slots.push(Slot {
+            node,
+            ..Slot::default()
+        });
+        self.slot_of.insert(node, slot as u32);
+        slot
+    }
+
+    /// The slot of `node` if it is in `S_v`.
+    fn explored_slot(&self, node: NodeId) -> Option<usize> {
+        self.slot_of
+            .get(node)
+            .map(|slot| slot as usize)
+            .filter(|&slot| self.slots[slot].explored)
+    }
+
+    /// Adds the node of `slot` to `S_v`, querying its degree and full
+    /// adjacency list.
+    fn explore(&mut self, oracle: &LcaOracle<'g>, slot: usize) -> Result<(), ModelError> {
+        let neighbors = oracle.neighbors(self.slots[slot].node)?;
+        let info = &mut self.slots[slot];
+        info.neighbors = neighbors;
+        info.explored = true;
+        self.explored.push(slot);
+        Ok(())
+    }
+
+    /// Computes the `S_v`-induced β-partition over the explored knowledge
+    /// (Definition 3.6 restricted to `S = S_v`): level-synchronous peeling
+    /// on the count of `∞` neighbors (neighbors outside `S_v` always count).
+    fn induced_levels(&mut self, beta: usize) {
+        for &slot in &self.explored {
+            let info = &mut self.slots[slot];
+            info.level = INFINITE;
+            info.infinite_neighbors = info.neighbors.len();
+        }
+        let slots = &self.slots;
+        self.frontier.clear();
+        self.frontier.extend(
+            self.explored
+                .iter()
+                .copied()
+                .filter(|&slot| slots[slot].infinite_neighbors <= beta),
+        );
+        let mut level = 0usize;
+        while !self.frontier.is_empty() {
+            for &slot in &self.frontier {
+                self.slots[slot].level = level;
+            }
+            // A counter passes `β` exactly once, so every node enters the
+            // next frontier at most once.
+            self.next_frontier.clear();
+            for index in 0..self.frontier.len() {
+                for &w in self.slots[self.frontier[index]].neighbors {
+                    let Some(slot) = self.explored_slot(w) else {
+                        continue;
+                    };
+                    let info = &mut self.slots[slot];
+                    info.infinite_neighbors -= 1;
+                    if info.level == INFINITE && info.infinite_neighbors == beta {
+                        self.next_frontier.push(slot);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+            level += 1;
+        }
+    }
+
+    /// The forwarding set `F(σ_{S_v}, u)` of Definition 4.1 for the
+    /// explored node of `slot`, as a range of the forwarding arena: the
+    /// `min(deg(u), β + 1)` neighbors with the highest `σ` values. Computed
+    /// on first use in super-iteration `round` (only coin holders need one).
+    ///
+    /// Neighbors outside `S_v` have `σ = ∞`; ties among `∞`-valued neighbors
+    /// are broken in favor of *unexplored* nodes (driving the exploration
+    /// towards new parts of the graph), then by node id, which keeps the
+    /// algorithm deterministic. Any tie-break satisfies Definition 4.1.
+    fn forwarding_set(&mut self, slot: usize, round: usize, beta: usize) -> Range<usize> {
+        let info = &self.slots[slot];
+        if info.forward_round == round {
+            return info.forward.clone();
+        }
+        let neighbors = info.neighbors;
+        let needed = neighbors.len().min(beta + 1);
+        let start = self.forwarding.len();
+        if needed > 0 {
+            // Sort key (lexicographic, smaller is better):
+            //   rank 0: sigma = ∞ and unexplored (fresh target)
+            //   rank 1: sigma = ∞ and explored
+            //   rank 2: finite sigma, larger sigma preferred (secondary key).
+            self.ranked.clear();
+            for &w in neighbors {
+                let (rank, secondary) = match self.explored_slot(w) {
+                    None => (0u8, 0usize),
+                    Some(explored) => match self.slots[explored].level {
+                        INFINITE => (1, 0),
+                        layer => (2, usize::MAX - layer),
+                    },
+                };
+                self.ranked.push((rank, secondary, w));
+            }
+            // Keys are distinct (one per neighbor), so selecting the
+            // `needed` smallest and sorting them equals a full sort's prefix.
+            if needed < self.ranked.len() {
+                self.ranked.select_nth_unstable(needed - 1);
+                self.ranked.truncate(needed);
+            }
+            self.ranked.sort_unstable();
+            self.forwarding
+                .extend(self.ranked.iter().map(|&(_, _, w)| w));
+        }
+        let info = &mut self.slots[slot];
+        info.forward = start..start + needed;
+        info.forward_round = round;
+        info.forward.clone()
+    }
+
+    /// Books `amount` coins for `slot` in flow step `step`.
+    fn receive(&mut self, slot: usize, step: usize, amount: f64) {
+        let info = &mut self.slots[slot];
+        if info.received_at != step {
+            info.received_at = step;
+            info.incoming = 0.0;
+            self.receivers.push(slot);
+        }
+        info.incoming += amount;
+    }
+
+    /// One coin-forwarding iteration: every explored holder with at least
+    /// `|F|` coins forwards an equal share to its forwarding set, the rest
+    /// keep their coins. Holders are visited in ascending node id and
+    /// shares added in forwarding-set order, which fixes every node's
+    /// floating-point summation order. Returns whether any coin moved.
+    fn flow(&mut self, step: usize, round: usize, beta: usize) -> bool {
+        self.receivers.clear();
+        let mut moved = false;
+        for index in 0..self.holders.len() {
+            let holder = self.holders[index];
+            let amount = self.slots[holder].coins;
+            let targets = if self.slots[holder].explored {
+                self.forwarding_set(holder, round, beta)
+            } else {
+                0..0
+            };
+            if !targets.is_empty() && amount >= targets.len() as f64 {
+                let share = amount / targets.len() as f64;
+                for offset in targets {
+                    let target = self.slot(self.forwarding[offset]);
+                    self.receive(target, step, share);
+                }
+                moved = true;
+            } else {
+                self.receive(holder, step, amount);
+            }
+        }
+        let slots = &mut self.slots;
+        self.receivers
+            .sort_unstable_by_key(|&slot| slots[slot].node);
+        for &slot in &self.receivers {
+            slots[slot].coins = slots[slot].incoming;
+        }
+        std::mem::swap(&mut self.holders, &mut self.receivers);
+        moved
+    }
+
+    /// The final `σ_{S_v,β}` restricted to its finite layers, as
+    /// `(node, layer)` pairs in the order the nodes joined `S_v`.
+    pub(crate) fn sigma(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.explored.iter().filter_map(|&slot| {
+            let info = &self.slots[slot];
+            (info.level != INFINITE).then_some((info.node, info.level))
+        })
+    }
+
+    /// Number of edges of `G[S_v]` present in the explored knowledge.
+    fn discovered_edges(&self) -> usize {
+        self.explored
+            .iter()
+            .map(|&slot| {
+                self.slots[slot]
+                    .neighbors
+                    .iter()
+                    .filter(|&&w| self.explored_slot(w).is_some())
+                    .count()
+            })
+            .sum::<usize>()
+            / 2
+    }
+}
+
+/// Counters of one game played by [`CoinGame::play`]; the explored set
+/// and `σ` stay readable in the scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CoinGameSummary {
+    /// `σ_{S_v,β}(root)` (uncapped).
+    pub sigma_root: Layer,
+    /// Number of LCA queries issued.
+    pub queries: usize,
+    /// Number of super-iterations executed.
+    pub super_iterations_run: usize,
+    /// `|S_v|`.
+    pub explored: usize,
 }
 
 /// Outcome of one full run of the coin dropping game for a root node.
@@ -133,8 +417,9 @@ pub struct CoinGameResult {
     pub root: NodeId,
     /// The explored set `S_v`, sorted by node id.
     pub explored: Vec<NodeId>,
-    /// The final `S_v`-induced β-partition restricted to its finite layers.
-    pub sigma: HashMap<NodeId, usize>,
+    /// The final `S_v`-induced β-partition restricted to its finite layers,
+    /// as `(node, layer)` pairs sorted by node id.
+    pub sigma: Vec<(NodeId, usize)>,
     /// `σ_{S_v,β}(root)` (uncapped).
     pub sigma_root: Layer,
     /// Number of LCA queries issued.
@@ -167,19 +452,12 @@ pub struct CoinGameResult {
 pub struct CoinGame<'o, 'g> {
     oracle: &'o LcaOracle<'g>,
     config: CoinGameConfig,
-    members: HashMap<NodeId, MemberInfo>,
-    insertion_order: Vec<NodeId>,
 }
 
 impl<'o, 'g> CoinGame<'o, 'g> {
     /// Binds the game to an oracle and a configuration.
     pub fn new(oracle: &'o LcaOracle<'g>, config: CoinGameConfig) -> Self {
-        CoinGame {
-            oracle,
-            config,
-            members: HashMap::new(),
-            insertion_order: Vec::new(),
-        }
+        CoinGame { oracle, config }
     }
 
     /// Plays the game for `root` and returns the resulting exploration and
@@ -189,202 +467,94 @@ impl<'o, 'g> CoinGame<'o, 'g> {
     ///
     /// Propagates [`ModelError::QueryBudgetExceeded`] if the oracle has a
     /// budget and the game exhausts it.
-    pub fn run(mut self, root: NodeId) -> Result<CoinGameResult, ModelError> {
-        let queries_before = self.oracle.queries_used();
-        self.add_member(root)?;
-
-        let max_super_iterations = self.config.effective_super_iterations();
-        let flow_iterations = self.config.effective_flow_iterations();
-        let mut super_iterations_run = 0usize;
-
-        for _ in 0..max_super_iterations {
-            super_iterations_run += 1;
-            let sigma = self.local_induced_partition();
-            let forwarding: HashMap<NodeId, Vec<NodeId>> = self
-                .members
-                .keys()
-                .map(|&u| (u, self.forwarding_set(u, &sigma)))
-                .collect();
-
-            // Coin flow: fractional coins, root starts with x. A BTreeMap
-            // keeps the iteration (and therefore floating-point summation)
-            // order deterministic.
-            let mut coins: std::collections::BTreeMap<NodeId, f64> =
-                std::collections::BTreeMap::new();
-            coins.insert(root, self.config.x as f64);
-            for _ in 0..flow_iterations {
-                let mut next: std::collections::BTreeMap<NodeId, f64> =
-                    std::collections::BTreeMap::new();
-                let mut moved = false;
-                for (&holder, &amount) in &coins {
-                    let forwarded = match forwarding.get(&holder) {
-                        Some(targets) if !targets.is_empty() && amount >= targets.len() as f64 => {
-                            let share = amount / targets.len() as f64;
-                            for &target in targets {
-                                *next.entry(target).or_insert(0.0) += share;
-                            }
-                            moved = true;
-                            true
-                        }
-                        _ => false,
-                    };
-                    if !forwarded {
-                        *next.entry(holder).or_insert(0.0) += amount;
-                    }
-                }
-                coins = next;
-                if !moved {
-                    break;
-                }
-            }
-
-            // Step 4: recruit every unexplored node holding coins.
-            let mut recruits: Vec<NodeId> = coins
-                .iter()
-                .filter(|&(node, &amount)| amount > 0.0 && !self.members.contains_key(node))
-                .map(|(&node, _)| node)
-                .collect();
-            recruits.sort_unstable();
-            if recruits.is_empty() {
-                // The next super-iteration would be identical: stop early.
-                break;
-            }
-            for node in recruits {
-                self.add_member(node)?;
-            }
-        }
-
-        let sigma = self.local_induced_partition();
-        let sigma_root = sigma
-            .get(&root)
-            .copied()
-            .map(Layer::Finite)
-            .unwrap_or(Layer::Infinite);
-        let mut explored = self.insertion_order.clone();
+    pub fn run(self, root: NodeId) -> Result<CoinGameResult, ModelError> {
+        let mut scratch = CoinGameScratch::default();
+        let summary = self.play(root, &mut scratch)?;
+        let mut explored: Vec<NodeId> = scratch
+            .explored
+            .iter()
+            .map(|&slot| scratch.slots[slot].node)
+            .collect();
         explored.sort_unstable();
-        let discovered_edges = self.discovered_edges();
-
+        let mut sigma: Vec<(NodeId, usize)> = scratch.sigma().collect();
+        sigma.sort_unstable();
         Ok(CoinGameResult {
             root,
             explored,
             sigma,
-            sigma_root,
-            queries: self.oracle.queries_used() - queries_before,
-            super_iterations_run,
-            discovered_edges,
+            sigma_root: summary.sigma_root,
+            queries: summary.queries,
+            super_iterations_run: summary.super_iterations_run,
+            discovered_edges: scratch.discovered_edges(),
         })
     }
 
-    /// Adds `node` to `S_v`, querying its degree and full adjacency list.
-    fn add_member(&mut self, node: NodeId) -> Result<(), ModelError> {
-        if self.members.contains_key(&node) {
-            return Ok(());
-        }
-        let neighbors = self.oracle.neighbors(node)?;
-        self.members.insert(
-            node,
-            MemberInfo {
-                degree: neighbors.len(),
-                neighbors,
-            },
-        );
-        self.insertion_order.push(node);
-        Ok(())
-    }
-
-    /// Computes the `S_v`-induced β-partition over the explored knowledge
-    /// (Definition 3.6 restricted to `S = S_v`): level-synchronous peeling
-    /// on the count of `∞` neighbors (neighbors outside `S_v` always count).
-    fn local_induced_partition(&self) -> HashMap<NodeId, usize> {
+    /// Plays the game for `root` inside `scratch`, leaving `S_v` and its
+    /// final `σ` there ([`CoinGameScratch::sigma`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError::QueryBudgetExceeded`] if the oracle has a
+    /// budget and the game exhausts it.
+    pub(crate) fn play(
+        &self,
+        root: NodeId,
+        scratch: &mut CoinGameScratch<'g>,
+    ) -> Result<CoinGameSummary, ModelError> {
+        let queries_before = self.oracle.queries_used();
         let beta = self.config.beta;
-        let mut infinite_neighbors: HashMap<NodeId, usize> = self
-            .members
-            .iter()
-            .map(|(&u, info)| (u, info.degree))
-            .collect();
-        let mut assigned: HashMap<NodeId, usize> = HashMap::new();
+        scratch.reset(self.oracle.num_nodes());
+        let root_slot = scratch.slot(root);
+        scratch.explore(self.oracle, root_slot)?;
 
-        let mut current: Vec<NodeId> = self
-            .members
-            .keys()
-            .copied()
-            .filter(|u| infinite_neighbors[u] <= beta)
-            .collect();
-        current.sort_unstable();
+        let max_super_iterations = self.config.effective_super_iterations();
+        let flow_iterations = self.config.effective_flow_iterations();
+        let mut super_iterations_run = 0usize;
+        let mut step = 0usize;
 
-        let mut level = 0usize;
-        while !current.is_empty() {
-            for &u in &current {
-                assigned.insert(u, level);
-            }
-            let mut next = Vec::new();
-            for &u in &current {
-                for &w in &self.members[&u].neighbors {
-                    if let Some(count) = infinite_neighbors.get_mut(&w) {
-                        *count -= 1;
-                        if !assigned.contains_key(&w) && *count == beta {
-                            next.push(w);
-                        }
-                    }
+        for round in 1..=max_super_iterations {
+            super_iterations_run = round;
+            scratch.induced_levels(beta);
+            scratch.forwarding.clear();
+
+            // Coin flow: fractional coins, root starts with x.
+            scratch.slots[root_slot].coins = self.config.x as f64;
+            scratch.holders.clear();
+            scratch.holders.push(root_slot);
+            for _ in 0..flow_iterations {
+                step += 1;
+                if !scratch.flow(step, round, beta) {
+                    break;
                 }
             }
-            next.sort_unstable();
-            next.dedup();
-            current = next;
-            level += 1;
-        }
-        assigned
-    }
 
-    /// The forwarding set `F(σ_{S_v}, u)` of Definition 4.1: the
-    /// `min(deg(u), β + 1)` neighbors with the highest `σ` values.
-    ///
-    /// Neighbors outside `S_v` have `σ = ∞`; ties among `∞`-valued neighbors
-    /// are broken in favor of *unexplored* nodes (driving the exploration
-    /// towards new parts of the graph), then by node id, which keeps the
-    /// algorithm deterministic. Any tie-break satisfies Definition 4.1.
-    fn forwarding_set(&self, u: NodeId, sigma: &HashMap<NodeId, usize>) -> Vec<NodeId> {
-        let info = &self.members[&u];
-        let needed = info.degree.min(self.config.beta + 1);
-        if needed == 0 {
-            return Vec::new();
+            // Step 4: recruit every unexplored node holding coins, in
+            // ascending node id.
+            let explored_before = scratch.explored.len();
+            for index in 0..scratch.holders.len() {
+                let holder = scratch.holders[index];
+                let info = &scratch.slots[holder];
+                if info.coins > 0.0 && !info.explored {
+                    scratch.explore(self.oracle, holder)?;
+                }
+            }
+            if scratch.explored.len() == explored_before {
+                // The next super-iteration would be identical: stop early.
+                break;
+            }
         }
-        // Sort key (lexicographic, smaller is better):
-        //   rank 0: sigma = ∞ and unexplored (fresh target)
-        //   rank 1: sigma = ∞ and explored
-        //   rank 2: finite sigma, larger sigma preferred (secondary key).
-        let mut ranked: Vec<(u8, usize, NodeId)> = info
-            .neighbors
-            .iter()
-            .map(|&w| {
-                let (rank, secondary) = if !self.members.contains_key(&w) {
-                    (0u8, 0usize)
-                } else {
-                    match sigma.get(&w) {
-                        None => (1u8, 0usize),
-                        Some(&layer) => (2u8, usize::MAX - layer),
-                    }
-                };
-                (rank, secondary, w)
-            })
-            .collect();
-        ranked.sort_unstable();
-        ranked.truncate(needed);
-        ranked.into_iter().map(|(_, _, w)| w).collect()
-    }
 
-    /// Number of edges of `G[S_v]` present in the explored knowledge.
-    fn discovered_edges(&self) -> usize {
-        self.members
-            .values()
-            .map(|info| {
-                info.neighbors
-                    .iter()
-                    .filter(|w| self.members.contains_key(w))
-                    .count()
-            })
-            .sum::<usize>()
-            / 2
+        scratch.induced_levels(beta);
+        let sigma_root = match scratch.slots[root_slot].level {
+            INFINITE => Layer::Infinite,
+            layer => Layer::Finite(layer),
+        };
+        Ok(CoinGameSummary {
+            sigma_root,
+            queries: self.oracle.queries_used() - queries_before,
+            super_iterations_run,
+            explored: scratch.explored.len(),
+        })
     }
 }
 
@@ -514,6 +684,33 @@ mod tests {
             outcome,
             Err(ModelError::QueryBudgetExceeded { budget: 30 })
         ));
+    }
+
+    #[test]
+    fn a_reused_scratch_plays_like_a_fresh_one() {
+        // A game leaves its state in the scratch; the next game — on the
+        // same graph or a smaller one — must not see any of it.
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let large = generators::preferential_attachment(300, 3, &mut rng);
+        let small = generators::star(40);
+        let config = CoinGameConfig::new(6, 8);
+        let mut scratch = CoinGameScratch::default();
+        for (graph, roots) in [(&large, 0..300), (&small, 0..40), (&large, 250..300)] {
+            let oracle = LcaOracle::new(graph);
+            for root in roots.step_by(7) {
+                let summary = CoinGame::new(&oracle, config)
+                    .play(root, &mut scratch)
+                    .unwrap();
+                let mut sigma: Vec<(NodeId, usize)> = scratch.sigma().collect();
+                sigma.sort_unstable();
+                let fresh = play(graph, root, config);
+                assert_eq!(sigma, fresh.sigma, "root {root}");
+                assert_eq!(summary.sigma_root, fresh.sigma_root);
+                assert_eq!(summary.queries, fresh.queries);
+                assert_eq!(summary.super_iterations_run, fresh.super_iterations_run);
+                assert_eq!(summary.explored, fresh.explored.len());
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The sublinear deterministic LCA for partial β-partitions
 //! (Lemma 4.7 / Remark 4.8).
-
-use std::collections::HashMap;
+//!
+//! The proof is the game's final `σ` cut at the layer cap. The AMPC
+//! driver streams it from the game's scratch straight into a machine's
+//! writes ([`partial_partition_lca_with`]); [`partial_partition_lca`]
+//! collects it into a sorted vector for callers that keep it.
 
 use ampc_model::{LcaOracle, ModelError};
 use sparse_graph::{CsrGraph, NodeId};
 
-use crate::coin_game::{CoinGame, CoinGameConfig, CoinGameResult};
+use crate::coin_game::{CoinGame, CoinGameConfig, CoinGameScratch, CoinGameSummary};
 use crate::layer::Layer;
 
 /// Output of one LCA invocation for a queried node (Remark 4.8).
@@ -24,9 +27,10 @@ pub struct LcaPartitionOutput {
     /// Layers strictly above this cap are reported as `∞`
     /// (`⌊log_{β+1} x⌋` by default, Lemma 4.7).
     pub layer_cap: usize,
-    /// The proof partition `ℓ_u`: finite layers (≤ cap) for explored nodes;
-    /// every node absent from the map is at `∞`.
-    pub proof: HashMap<NodeId, usize>,
+    /// The proof partition `ℓ_u` as `(node, layer)` pairs sorted by node:
+    /// finite layers (≤ cap) for explored nodes; every absent node is at
+    /// `∞`.
+    pub proof: Vec<(NodeId, usize)>,
     /// The queried node's own (capped) layer.
     pub root_layer: Layer,
     /// Number of LCA queries issued.
@@ -35,30 +39,6 @@ pub struct LcaPartitionOutput {
     pub explored: usize,
     /// Number of super-iterations the coin game executed.
     pub super_iterations: usize,
-}
-
-impl LcaPartitionOutput {
-    fn from_game(result: CoinGameResult, layer_cap: usize) -> Self {
-        let proof: HashMap<NodeId, usize> = result
-            .sigma
-            .iter()
-            .filter(|&(_, &layer)| layer <= layer_cap)
-            .map(|(&node, &layer)| (node, layer))
-            .collect();
-        let root_layer = match result.sigma_root {
-            Layer::Finite(layer) if layer <= layer_cap => Layer::Finite(layer),
-            _ => Layer::Infinite,
-        };
-        LcaPartitionOutput {
-            root: result.root,
-            layer_cap,
-            proof,
-            root_layer,
-            queries: result.queries,
-            explored: result.explored.len(),
-            super_iterations: result.super_iterations_run,
-        }
-    }
 }
 
 /// Runs the deterministic LCA of Lemma 4.7 / Remark 4.8 for a single node.
@@ -84,7 +64,7 @@ impl LcaPartitionOutput {
 /// let oracle = LcaOracle::new(&graph);
 /// let output = partial_partition_lca(&oracle, 7, &CoinGameConfig::new(8, 3))?;
 /// assert_eq!(output.root_layer, Layer::Finite(0)); // a leaf sits on layer 0
-/// assert!(output.proof.contains_key(&7));
+/// assert!(output.proof.contains(&(7, 0)));
 /// # Ok::<(), ampc_model::ModelError>(())
 /// ```
 pub fn partial_partition_lca(
@@ -92,10 +72,57 @@ pub fn partial_partition_lca(
     root: NodeId,
     config: &CoinGameConfig,
 ) -> Result<LcaPartitionOutput, ModelError> {
+    let mut proof = Vec::new();
+    let summary = partial_partition_lca_with(
+        oracle,
+        root,
+        config,
+        &mut CoinGameScratch::default(),
+        |node, layer| {
+            proof.push((node, layer));
+            Ok(())
+        },
+    )?;
+    proof.sort_unstable();
     let layer_cap = config.effective_layer_cap();
-    let game = CoinGame::new(oracle, *config);
-    let result = game.run(root)?;
-    Ok(LcaPartitionOutput::from_game(result, layer_cap))
+    Ok(LcaPartitionOutput {
+        root,
+        layer_cap,
+        proof,
+        root_layer: match summary.sigma_root {
+            Layer::Finite(layer) if layer <= layer_cap => Layer::Finite(layer),
+            _ => Layer::Infinite,
+        },
+        queries: summary.queries,
+        explored: summary.explored,
+        super_iterations: summary.super_iterations_run,
+    })
+}
+
+/// [`partial_partition_lca`] inside a reusable scratch: `emit` receives
+/// each proof entry `(node, layer)` (layer ≤ cap) in the order the nodes
+/// were explored, and nothing is collected. This is the machine body of a
+/// partition round, which writes the proof straight into its context.
+///
+/// # Errors
+///
+/// Propagates query-budget violations from the game and the first error
+/// `emit` returns.
+pub(crate) fn partial_partition_lca_with<'g>(
+    oracle: &LcaOracle<'g>,
+    root: NodeId,
+    config: &CoinGameConfig,
+    scratch: &mut CoinGameScratch<'g>,
+    mut emit: impl FnMut(NodeId, usize) -> Result<(), ModelError>,
+) -> Result<CoinGameSummary, ModelError> {
+    let summary = CoinGame::new(oracle, *config).play(root, scratch)?;
+    let layer_cap = config.effective_layer_cap();
+    for (node, layer) in scratch.sigma() {
+        if layer <= layer_cap {
+            emit(node, layer)?;
+        }
+    }
+    Ok(summary)
 }
 
 /// Convenience driver running the LCA for *every* node of a graph and
@@ -134,7 +161,7 @@ mod tests {
         let config = CoinGameConfig::new(16, 3); // cap = 2 < natural depth 3
         let output = partial_partition_lca(&oracle, 0, &config).unwrap();
         assert_eq!(output.layer_cap, 2);
-        assert!(output.proof.values().all(|&l| l <= 2));
+        assert!(output.proof.iter().all(|&(_, l)| l <= 2));
         // The root's natural layer is 3 > cap, so it must report ∞.
         assert_eq!(output.root_layer, Layer::Infinite);
     }
@@ -148,8 +175,7 @@ mod tests {
         let beta = 5;
         let config = CoinGameConfig::new(6, beta);
         let outputs = lca_for_all_nodes(&graph, &config).unwrap();
-        let proofs: Vec<&HashMap<NodeId, usize>> = outputs.iter().map(|o| &o.proof).collect();
-        let merged = merge_min(graph.num_nodes(), beta, proofs.iter().copied());
+        let merged = merge_min(graph.num_nodes(), beta, outputs.iter().map(|o| &o.proof));
         assert!(merged.validate(&graph).is_ok());
         // Every node that reported a finite layer for itself is finite in the
         // merge (Lemma 4.10, "moreover" part).

@@ -1,15 +1,13 @@
 //! Min-merging partial β-partitions (Lemma 4.10).
 
-use std::collections::HashMap;
-
 use sparse_graph::NodeId;
 
 use crate::beta::BetaPartition;
 use crate::layer::Layer;
 
-/// Merges a collection of partial β-partitions, each given as a sparse map
-/// from node to finite layer (nodes missing from a map are at `∞`), into a
-/// single partial β-partition via the node-wise minimum
+/// Merges a collection of partial β-partitions, each given as a sparse
+/// slice of `(node, finite layer)` pairs (nodes missing from a slice are at
+/// `∞`), into a single partial β-partition via the node-wise minimum
 /// `λ(v) = min_u ℓ_u(v)`.
 ///
 /// By Lemma 4.10 the result is again a partial β-partition, and a node is
@@ -21,23 +19,23 @@ use crate::layer::Layer;
 ///
 /// ```
 /// use beta_partition::{merge_min, Layer};
-/// use std::collections::HashMap;
 ///
-/// let a: HashMap<usize, usize> = [(0, 3), (1, 5)].into_iter().collect();
-/// let b: HashMap<usize, usize> = [(1, 2), (2, 4)].into_iter().collect();
-/// let merged = merge_min(4, 7, [&a, &b]);
+/// let a = [(0, 3), (1, 5)];
+/// let b = [(1, 2), (2, 4)];
+/// let merged = merge_min(4, 7, [&a[..], &b[..]]);
 /// assert_eq!(merged.layer(0), Layer::Finite(3));
 /// assert_eq!(merged.layer(1), Layer::Finite(2));
 /// assert_eq!(merged.layer(2), Layer::Finite(4));
 /// assert_eq!(merged.layer(3), Layer::Infinite);
 /// ```
-pub fn merge_min<'a, I>(num_nodes: usize, beta: usize, partitions: I) -> BetaPartition
+pub fn merge_min<I>(num_nodes: usize, beta: usize, partitions: I) -> BetaPartition
 where
-    I: IntoIterator<Item = &'a HashMap<NodeId, usize>>,
+    I: IntoIterator,
+    I::Item: AsRef<[(NodeId, usize)]>,
 {
     let mut merged = BetaPartition::all_infinite(num_nodes, beta);
     for partition in partitions {
-        for (&node, &layer) in partition {
+        for &(node, layer) in partition.as_ref() {
             debug_assert!(node < num_nodes, "node {node} out of range");
             let candidate = Layer::Finite(layer);
             if candidate < merged.layer(node) {
@@ -59,7 +57,7 @@ mod tests {
 
     #[test]
     fn empty_merge_is_all_infinite() {
-        let merged = merge_min(3, 2, std::iter::empty::<&HashMap<NodeId, usize>>());
+        let merged = merge_min(3, 2, std::iter::empty::<&[(NodeId, usize)]>());
         assert!(merged.is_partial());
         assert_eq!(merged.infinite_nodes().len(), 3);
     }
@@ -73,7 +71,7 @@ mod tests {
         let beta = 5;
         let nodes: Vec<NodeId> = graph.nodes().collect();
 
-        let mut sparse_partitions: Vec<HashMap<NodeId, usize>> = Vec::new();
+        let mut sparse_partitions: Vec<Vec<(NodeId, usize)>> = Vec::new();
         for _ in 0..6 {
             let mut shuffled = nodes.clone();
             shuffled.shuffle(&mut rng);
@@ -83,7 +81,7 @@ mod tests {
                 in_s[v] = true;
             }
             let sigma = induced_partition(&graph, &in_s, beta);
-            let sparse: HashMap<NodeId, usize> = graph
+            let sparse: Vec<(NodeId, usize)> = graph
                 .nodes()
                 .filter_map(|v| sigma.layer(v).finite().map(|l| (v, l)))
                 .collect();
@@ -94,16 +92,18 @@ mod tests {
         assert!(merged.validate(&graph).is_ok());
         // A node is finite in the merge iff it is finite in some input.
         for v in graph.nodes() {
-            let finite_somewhere = sparse_partitions.iter().any(|p| p.contains_key(&v));
+            let finite_somewhere = sparse_partitions
+                .iter()
+                .any(|p| p.iter().any(|&(node, _)| node == v));
             assert_eq!(merged.layer(v).is_finite(), finite_somewhere);
         }
     }
 
     #[test]
     fn merge_takes_pointwise_minimum() {
-        let a: HashMap<NodeId, usize> = [(0, 9), (2, 1)].into_iter().collect();
-        let b: HashMap<NodeId, usize> = [(0, 4)].into_iter().collect();
-        let c: HashMap<NodeId, usize> = [(0, 6), (1, 0)].into_iter().collect();
+        let a = vec![(0, 9), (2, 1)];
+        let b = vec![(0, 4)];
+        let c = vec![(0, 6), (1, 0)];
         let merged = merge_min(3, 3, [&a, &b, &c]);
         assert_eq!(merged.layer(0), Layer::Finite(4));
         assert_eq!(merged.layer(1), Layer::Finite(0));

@@ -137,7 +137,9 @@ pub use perf::{PerfCounters, PerfSink};
 pub use pool::{parallel_map, parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
 pub use process_backend::ProcessBackend;
 pub use rounds::RoundPrimitives;
-pub use scratch::{scratch_totals, BitSet, MarkerSet, ScratchCounters, ScratchLease, ScratchPool};
+pub use scratch::{
+    scratch_totals, BitSet, EpochMap, MarkerSet, ScratchCounters, ScratchLease, ScratchPool,
+};
 pub use shard::ShardedStore;
 pub use trace::{
     chrome_trace_json, span_on, LatencyHistogram, SpanGuard, TraceContext, TraceEvent,

@@ -226,6 +226,8 @@ impl ParallelBackend {
             .map(|(slot, range)| {
                 Box::new(move || {
                     let mut outcome = ChunkOutcome::new(num_shards);
+                    // One write buffer for every machine of the chunk.
+                    let mut buffer = Vec::new();
                     for machine in range {
                         if let Some((plan, round, attempt)) = faults {
                             if let Some(fault) =
@@ -234,8 +236,13 @@ impl ParallelBackend {
                                 faults::apply(fault);
                             }
                         }
-                        let mut ctx =
-                            MachineContext::for_round(machine, store, read_budget, write_budget);
+                        let mut ctx = MachineContext::for_round(
+                            machine,
+                            store,
+                            read_budget,
+                            write_budget,
+                            &mut buffer,
+                        );
                         if let Err(error) = body(machine, &mut ctx) {
                             outcome.error = Some((machine, error));
                             break;
@@ -246,7 +253,7 @@ impl ParallelBackend {
                         outcome.total_reads += reads;
                         outcome.max_writes = outcome.max_writes.max(writes);
                         outcome.total_writes += writes;
-                        for (index, (key, value)) in ctx.into_writes().into_iter().enumerate() {
+                        for (index, &(key, value)) in buffer.iter().enumerate() {
                             let shard = store.shard_of(&key);
                             outcome.per_shard[shard].push((machine, index, key, value));
                         }

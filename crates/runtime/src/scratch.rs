@@ -12,6 +12,8 @@
 //! * [`MarkerSet`] — an epoch-stamped membership set with O(1) clear: the
 //!   standard replacement for repeated small `vec![false; n]` scratch.
 //!   Marking stamps the current epoch; clearing just bumps the epoch.
+//! * [`EpochMap`] — the same stamping with a `u32` per slot: an
+//!   O(1)-clear dense-id → slot map (the coin game's node index).
 //! * [`ScratchPool`] — a thread-indexed pool of reusable `T: Default`
 //!   buffers. Worker closures [`ScratchPool::lease`] a buffer, use it for
 //!   one item (or one chunk) and return it on drop; in steady state no
@@ -262,21 +264,59 @@ impl<T: Default> Drop for ScratchLease<'_, T> {
     }
 }
 
+/// Epoch-stamped slots over `0..len`, each carrying a `T`: the storage
+/// behind [`MarkerSet`] and [`EpochMap`].
+///
+/// Every slot stores the epoch at which it was last written; a read
+/// compares against the current epoch, so [`Stamped::reset`] clears the
+/// whole domain by bumping the epoch (and re-zeroes the stamps only on the
+/// one-in-`u32::MAX` wraparound, keeping stale stamps from a
+/// four-billion-reset-old epoch from reading as live).
+#[derive(Debug, Default)]
+struct Stamped<T> {
+    slots: Vec<(u32, T)>,
+    epoch: u32,
+}
+
+impl<T: Copy + Default> Stamped<T> {
+    fn reset(&mut self, len: usize) {
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, T::default()));
+        }
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(epoch) => epoch,
+            None => {
+                // Wraparound: epoch 0 would collide with never-written
+                // slots' initial stamp, and old stamps would alias future
+                // epochs — re-zero everything and restart at 1.
+                for slot in &mut self.slots {
+                    slot.0 = 0;
+                }
+                1
+            }
+        };
+    }
+
+    #[inline]
+    fn set(&mut self, index: usize, value: T) {
+        self.slots[index] = (self.epoch, value);
+    }
+
+    #[inline]
+    fn get(&self, index: usize) -> Option<T> {
+        let (stamp, value) = self.slots[index];
+        (stamp == self.epoch).then_some(value)
+    }
+}
+
 /// An epoch-stamped membership set over `0..len` with O(1) clear — the
 /// allocation-free replacement for the per-item `vec![false; len]` pattern
 /// in the simulators' inner loops.
 ///
-/// Every slot stores the epoch at which it was last marked;
-/// [`MarkerSet::is_marked`] compares against the current epoch, so
-/// [`MarkerSet::reset`] clears the whole set by bumping the epoch (and
-/// re-zeroes the stamps only on the one-in-`u32::MAX` wraparound, keeping
-/// stale stamps from a four-billion-reset-old epoch from reading as
-/// marked).
+/// Marking stamps the current epoch; [`MarkerSet::reset`] clears the whole
+/// set by bumping it.
 #[derive(Debug, Default)]
-pub struct MarkerSet {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
+pub struct MarkerSet(Stamped<()>);
 
 impl MarkerSet {
     /// An empty set ([`MarkerSet::reset`] sizes it).
@@ -287,19 +327,7 @@ impl MarkerSet {
     /// Clears the set and ensures it covers `0..len`. O(1) except when the
     /// domain grows or the epoch wraps around.
     pub fn reset(&mut self, len: usize) {
-        if self.stamp.len() < len {
-            self.stamp.resize(len, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(epoch) => epoch,
-            None => {
-                // Wraparound: epoch 0 would collide with never-marked
-                // slots' initial stamp, and old stamps would alias future
-                // epochs — re-zero everything and restart at 1.
-                self.stamp.fill(0);
-                1
-            }
-        };
+        self.0.reset(len);
     }
 
     /// Marks `index` as a member.
@@ -310,7 +338,7 @@ impl MarkerSet {
     /// [`MarkerSet::reset`].
     #[inline]
     pub fn mark(&mut self, index: usize) {
-        self.stamp[index] = self.epoch;
+        self.0.set(index, ());
     }
 
     /// Whether `index` was marked since the last [`MarkerSet::reset`].
@@ -321,7 +349,49 @@ impl MarkerSet {
     /// [`MarkerSet::reset`].
     #[inline]
     pub fn is_marked(&self, index: usize) -> bool {
-        self.stamp[index] == self.epoch
+        self.0.get(index).is_some()
+    }
+}
+
+/// An epoch-stamped map from `0..len` to `u32` with O(1) clear — the
+/// [`MarkerSet`] companion for sparse id → dense slot lookups, e.g. the
+/// node → slot index of a coin game over a residual graph, where a
+/// `HashMap` would hash every probe and allocate per game.
+#[derive(Debug, Default)]
+pub struct EpochMap(Stamped<u32>);
+
+impl EpochMap {
+    /// An empty map ([`EpochMap::reset`] sizes it).
+    pub fn new() -> Self {
+        EpochMap::default()
+    }
+
+    /// Clears the map and ensures it covers keys `0..len`. O(1) except
+    /// when the domain grows or the epoch wraps around.
+    pub fn reset(&mut self, len: usize) {
+        self.0.reset(len);
+    }
+
+    /// Maps `key` to `value`, replacing any earlier value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is outside the domain of the last
+    /// [`EpochMap::reset`].
+    #[inline]
+    pub fn insert(&mut self, key: usize, value: u32) {
+        self.0.set(key, value);
+    }
+
+    /// The value inserted for `key` since the last [`EpochMap::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is outside the domain of the last
+    /// [`EpochMap::reset`].
+    #[inline]
+    pub fn get(&self, key: usize) -> Option<u32> {
+        self.0.get(key)
     }
 }
 
@@ -461,10 +531,10 @@ mod tests {
         marks.reset(4);
         marks.mark(2);
         // Fast-forward to the wraparound edge: the next reset overflows.
-        marks.epoch = u32::MAX;
-        marks.stamp[1] = u32::MAX; // "marked at the last pre-wrap epoch"
+        marks.0.epoch = u32::MAX;
+        marks.0.slots[1].0 = u32::MAX; // "marked at the last pre-wrap epoch"
         marks.reset(4);
-        assert_eq!(marks.epoch, 1, "wraparound restarts at epoch 1");
+        assert_eq!(marks.0.epoch, 1, "wraparound restarts at epoch 1");
         for i in 0..4 {
             assert!(!marks.is_marked(i), "slot {i} read as marked after wrap");
         }
@@ -475,12 +545,37 @@ mod tests {
         let mut aliased = MarkerSet::new();
         aliased.reset(2);
         aliased.mark(0); // stamp 1 — would alias epoch 1 after a wrap
-        aliased.epoch = u32::MAX;
+        aliased.0.epoch = u32::MAX;
         aliased.reset(2);
         assert!(
             !aliased.is_marked(0),
             "pre-wrap stamp aliased the new epoch"
         );
+    }
+
+    #[test]
+    fn epoch_map_clears_in_constant_time_and_survives_wraparound() {
+        let mut map = EpochMap::new();
+        map.reset(8);
+        map.insert(3, 30);
+        map.insert(5, 50);
+        map.insert(3, 31);
+        assert_eq!(map.get(3), Some(31));
+        assert_eq!(map.get(5), Some(50));
+        assert_eq!(map.get(4), None);
+        map.reset(16);
+        for key in 0..16 {
+            assert_eq!(map.get(key), None, "key {key} survived a reset");
+        }
+        // The wraparound shares the marker set's handling: a value stored
+        // before the wrap must not resurface once the epoch restarts.
+        map.insert(2, 7);
+        map.0.epoch = u32::MAX;
+        map.reset(16);
+        assert_eq!(map.0.epoch, 1);
+        assert_eq!(map.get(2), None, "pre-wrap value aliased the new epoch");
+        map.insert(2, 9);
+        assert_eq!(map.get(2), Some(9));
     }
 
     #[test]

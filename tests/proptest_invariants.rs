@@ -15,7 +15,6 @@ use sparse_graph::{
     degeneracy, forest_decomposition, greedy_by_degeneracy_order, greedy_from_orientation,
     ArboricityEstimate, CsrGraph, GraphBuilder, Orientation,
 };
-use std::collections::HashMap;
 
 const ARBITRARY_CASES: u64 = 64;
 const EXPENSIVE_CASES: u64 = 16;
@@ -156,7 +155,7 @@ fn merged_sparse_partitions_stay_valid() {
         let n = graph.num_nodes();
         // Build three induced partitions on thirds of the vertex set and
         // min-merge them (Lemma 4.10).
-        let mut proofs: Vec<HashMap<usize, usize>> = Vec::new();
+        let mut proofs: Vec<Vec<(usize, usize)>> = Vec::new();
         for part in 0..3usize {
             let in_s: Vec<bool> = (0..n).map(|v| v % 3 == part).collect();
             let sigma = induced_partition(&graph, &in_s, beta);
@@ -225,7 +224,7 @@ fn coin_game_lca_outputs_valid_proofs() {
         for v in 0..graph.num_nodes().min(10) {
             let output = partial_partition_lca(&oracle, v, &config).unwrap();
             assert!(
-                output.proof.values().all(|&l| l <= output.layer_cap),
+                output.proof.iter().all(|&(_, l)| l <= output.layer_cap),
                 "seed {seed}, node {v}"
             );
             proofs.push(output.proof);
