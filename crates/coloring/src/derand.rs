@@ -28,13 +28,40 @@
 //! edge-query table — is packed 64 coordinates per `u64` word and operated
 //! on with the word/SIMD kernels of [`ampc_runtime::simd`]. A seed row is
 //! a pair of masks (`fixed` = which coordinates are decided, `value` ⊆
-//! `fixed` = which are decided *to 1*), so the per-edge collision
-//! probability is three word-ops per color bit: "any queried coordinate
-//! still free?" (`d & !fixed ≠ 0` → probability 1/2), else "does the fixed
-//! parity hit the target?" (`popcount(d & value) & 1`). The probabilities
-//! this produces are bit-identical to the former one-byte-per-coordinate
-//! evaluation: each is exactly `0.5`, `1.0` or `0.0` per row, multiplied
-//! in row order — dyadic rationals with no rounding anywhere.
+//! `fixed` = which are decided *to 1*). Per color bit, an edge query `d`
+//! collides with probability 1/2 while any queried coordinate is still
+//! free, and otherwise with probability 1 or 0 as the fixed parity
+//! `popcount(d & value) & 1` hits or misses the target bit.
+//!
+//! # Seed search by counting
+//!
+//! Seed bits are fixed in flat order `row · cols + col`, a batch at a
+//! time, so while a batch is searched every earlier row is fully fixed,
+//! every later row is fully free, and only the rows the batch touches are
+//! partly fixed. An edge's collision probability is therefore a product
+//! of three kinds of factor: 1 or 0 for each finished row (an edge whose
+//! finished row missed its target bit stays at probability 0 for the rest
+//! of the phase and is dropped from the query table), exactly 1/2 for each
+//! of the `F` free rows (a query is never the zero vector), and, for each
+//! of the `T` touched rows, a factor that depends on the candidate
+//! assignment `a` only through
+//!
+//! * the query's bits on the batch's columns of that row (its *pattern*),
+//! * whether the query has a bit on a column after the batch (the row
+//!   stays free: factor 1/2 whatever `a` is), and
+//! * the parity of the query over the row's already-fixed prefix, XOR the
+//!   row's target bit (its *residual*): the row hits iff
+//!   `parity(pattern & a_row)` equals the residual.
+//!
+//! Scaling every probability by the shared `2^(F+T)` turns it into the
+//! integer `Π_rows (free ? 1 : 2·[parity(pattern & a_row) = residual])`,
+//! so one counting pass per batch buckets the live edges by that key and
+//! each candidate's conditional expectation is the exact `u64`
+//! `Σ_key count · Π_rows(…)`. Candidates are scanned in increasing order
+//! and the first minimum wins; since all candidates share the scale, that
+//! is the argmin of the real-valued expectation, and, because integer sums
+//! do not depend on summation order, the same for any edge order
+//! (relabeling) and any thread count.
 
 use ampc_model::mpc::{MpcConfig, MpcCostTracker};
 use ampc_runtime::{simd, RoundPrimitives};
@@ -99,6 +126,7 @@ pub struct DerandColoringResult {
 
 /// `2^-k` exactly, by exponent construction (`k` far below the subnormal
 /// threshold here: it is bounded by the seed's row count).
+#[cfg(test)]
 fn half_pow(k: u32) -> f64 {
     debug_assert!(k < 1023, "2^-{k} is not a normal f64");
     f64::from_bits(u64::from(1023 - k) << 52)
@@ -158,6 +186,7 @@ impl Seed {
         }
     }
 
+    #[cfg(test)]
     fn row_fixed(&self, row: usize) -> &[u64] {
         &self.fixed[row * self.words..(row + 1) * self.words]
     }
@@ -167,9 +196,7 @@ impl Seed {
     }
 
     /// Fixes flat bit `bit_index` (= `row * cols + col`) to `bit`,
-    /// overwriting any earlier fixing — the batch loop writes every
-    /// candidate assignment over the same positions and commits the winner
-    /// last.
+    /// overwriting any earlier fixing.
     fn set_bit(&mut self, bit_index: usize, bit: bool) {
         let (row, col) = (bit_index / self.cols, bit_index % self.cols);
         let word = row * self.words + col / WORD_BITS;
@@ -209,7 +236,10 @@ impl Seed {
     /// (probability 1) or misses it (0). Rows are independent; the first
     /// impossible row short-circuits to 0 exactly like the row-by-row
     /// product it replaces, and the surviving product `0.5^free_rows` is
-    /// reconstructed exactly by exponent arithmetic.
+    /// reconstructed exactly by exponent arithmetic. The seed search scores
+    /// candidates by counting instead (see the module docs); this direct
+    /// product is the oracle its tests compare against.
+    #[cfg(test)]
     fn collision_probability(&self, d: &[u64], target: usize) -> f64 {
         let mut free_rows = 0u32;
         for row in 0..self.rows {
@@ -234,6 +264,229 @@ fn encode_into(v: NodeId, cols: usize, out: &mut Vec<u64>) {
     }
     let constant = cols - 1;
     out[constant / WORD_BITS] |= 1u64 << (constant % WORD_BITS);
+}
+
+/// Columns `lo..lo + len` (`len ≤ 64`) of a packed GF(2) vector, as the
+/// low bits of a word.
+fn column_bits(d: &[u64], lo: usize, len: usize) -> u64 {
+    let (word, shift) = (lo / WORD_BITS, lo % WORD_BITS);
+    let mut bits = d[word] >> shift;
+    if shift + len > WORD_BITS {
+        bits |= d[word + 1] << (WORD_BITS - shift);
+    }
+    bits & low_mask(len)
+}
+
+/// The `len` (`≤ 64`) low bits set.
+fn low_mask(len: usize) -> u64 {
+    if len >= WORD_BITS {
+        u64::MAX
+    } else {
+        (1 << len) - 1
+    }
+}
+
+/// Bucket keys up to this many bits are counted in a dense table; wider
+/// keys (only batches far wider than the paper's `⌊δ/3 · log₂ n⌋` bits
+/// produce them) are sorted instead, so the table never outgrows 256 KiB.
+const DENSE_KEY_BITS: usize = 16;
+
+/// One seed row a batch touches: the batch fixes the row's columns
+/// `lo..lo + len`, which are bits `offset..offset + len` of a candidate
+/// assignment.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    row: usize,
+    lo: usize,
+    len: usize,
+    offset: usize,
+}
+
+impl Segment {
+    /// The segment's bits within a candidate assignment.
+    fn mask(&self) -> u64 {
+        low_mask(self.len) << self.offset
+    }
+}
+
+/// The conditional-expectation seed search, one counting pass per batch
+/// (see the module docs). Holds only reused buffers.
+#[derive(Debug, Default)]
+struct BatchSearch {
+    /// The touched rows of the current batch, in row order.
+    segments: Vec<Segment>,
+    /// Columns `0..hi` of the batch's last row, where `hi` is the end of
+    /// the batch in that row: a query with a bit outside it keeps the row
+    /// free.
+    through: Vec<u64>,
+    /// Dense bucket counts, all zero between batches.
+    counts: Vec<u32>,
+    /// Distinct keys of the dense table, or every key on the sorted path.
+    keys: Vec<u64>,
+    /// `(key, edge count)` per non-empty bucket.
+    buckets: Vec<(u64, u64)>,
+    /// Scaled conditional expectation per candidate assignment.
+    scores: Vec<u64>,
+}
+
+impl BatchSearch {
+    /// Fills `self.scores[a]` with the conditional expectation of the
+    /// number of monochromatic edges when flat seed bits `start..end` are
+    /// fixed to candidate `a` (bit `i` of `a` ↦ seed bit `start + i`),
+    /// scaled by `2^(F+T)`. `seed` must have exactly the bits before
+    /// `start` fixed, and every edge of the query table (`dirs` with
+    /// stride `seed.words`, one target per edge) must hit its target on
+    /// every fully fixed row.
+    fn score_candidates(
+        &mut self,
+        seed: &Seed,
+        start: usize,
+        end: usize,
+        dirs: &[u64],
+        targets: &[usize],
+    ) {
+        let (cols, words) = (seed.cols, seed.words);
+        let width = end - start;
+        let (first_row, last_row) = (start / cols, (end - 1) / cols);
+        self.segments.clear();
+        for row in first_row..=last_row {
+            let lo = if row == first_row { start % cols } else { 0 };
+            let hi = if row == last_row {
+                (end - 1) % cols + 1
+            } else {
+                cols
+            };
+            self.segments.push(Segment {
+                row,
+                lo,
+                len: hi - lo,
+                offset: row * cols + lo - start,
+            });
+        }
+        let touched = self.segments.len();
+        let key_bits = width + touched + 1;
+        assert!(key_bits <= 64, "a {width}-bit seed batch is too wide");
+        let free_bit = 1u64 << (width + touched);
+        let through_columns = self.segments[touched - 1].lo + self.segments[touched - 1].len;
+        self.through.clear();
+        self.through.resize(words, 0);
+        for (word, mask) in self.through.iter_mut().enumerate() {
+            *mask = low_mask(
+                through_columns
+                    .saturating_sub(word * WORD_BITS)
+                    .min(WORD_BITS),
+            );
+        }
+
+        // The counting pass: one key per live edge.
+        let segments = &self.segments;
+        let through = &self.through;
+        let prefix_value = seed.row_value(first_row);
+        let key_of = |edge: usize| -> u64 {
+            let d = &dirs[edge * words..(edge + 1) * words];
+            debug_assert!(d.iter().any(|&word| word != 0), "queries are never zero");
+            let mut key = 0u64;
+            for (i, segment) in segments.iter().enumerate() {
+                key |= column_bits(d, segment.lo, segment.len) << segment.offset;
+                let mut residual = (targets[edge] >> segment.row) & 1 == 1;
+                if i == 0 {
+                    residual ^= simd::masked_parity(d, prefix_value);
+                }
+                key |= u64::from(residual) << (width + i);
+            }
+            if simd::and_not_any(d, through) {
+                key |= free_bit;
+            }
+            key
+        };
+        self.keys.clear();
+        self.buckets.clear();
+        if key_bits <= DENSE_KEY_BITS {
+            if self.counts.len() < 1 << key_bits {
+                self.counts.resize(1 << key_bits, 0);
+            }
+            for edge in 0..targets.len() {
+                let key = key_of(edge);
+                if self.counts[key as usize] == 0 {
+                    self.keys.push(key);
+                }
+                self.counts[key as usize] += 1;
+            }
+            for &key in &self.keys {
+                let count = std::mem::take(&mut self.counts[key as usize]);
+                self.buckets.push((key, u64::from(count)));
+            }
+        } else {
+            self.keys.extend((0..targets.len()).map(key_of));
+            self.keys.sort_unstable();
+            for run in self.keys.chunk_by(|a, b| a == b) {
+                self.buckets.push((run[0], run.len() as u64));
+            }
+        }
+
+        // Each candidate's value: per bucket, the product over the touched
+        // rows of 1 (free last row), 2 (hit) or 0 (miss).
+        let last = touched - 1;
+        self.scores.clear();
+        for assignment in 0..1u64 << width {
+            let mut score = 0u64;
+            'buckets: for &(key, count) in &self.buckets {
+                let picked = key & assignment;
+                let free_last = key & free_bit != 0;
+                let mut shift = 0u32;
+                for (i, segment) in self.segments.iter().enumerate() {
+                    if free_last && i == last {
+                        continue;
+                    }
+                    let parity = u64::from((picked & segment.mask()).count_ones() & 1);
+                    if parity != (key >> (width + i)) & 1 {
+                        continue 'buckets;
+                    }
+                    shift += 1;
+                }
+                score += count << shift;
+            }
+            self.scores.push(score);
+        }
+    }
+
+    /// The candidate minimizing the conditional expectation, the first one
+    /// on ties (see [`BatchSearch::score_candidates`]).
+    fn best_assignment(
+        &mut self,
+        seed: &Seed,
+        start: usize,
+        end: usize,
+        dirs: &[u64],
+        targets: &[usize],
+    ) -> usize {
+        self.score_candidates(seed, start, end, dirs, targets);
+        // `min_by_key` keeps the first of equal minima.
+        self.scores
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &score)| score)
+            .map_or(0, |(assignment, _)| assignment)
+    }
+}
+
+/// Drops, in place and in order, the query-table edges (`dirs` with
+/// stride `seed.words`, one target per edge) whose parity on the fully
+/// fixed `row` missed the row's target bit: their collision probability
+/// is 0 for the rest of the phase.
+fn drop_missed_edges(seed: &Seed, row: usize, dirs: &mut Vec<u64>, targets: &mut Vec<usize>) {
+    let (words, value) = (seed.words, seed.row_value(row));
+    let mut kept = 0;
+    for edge in 0..targets.len() {
+        let d = &dirs[edge * words..(edge + 1) * words];
+        if simd::masked_parity(d, value) == ((targets[edge] >> row) & 1 == 1) {
+            dirs.copy_within(edge * words..(edge + 1) * words, kept * words);
+            targets[kept] = targets[edge];
+            kept += 1;
+        }
+    }
+    dirs.truncate(kept * words);
+    targets.truncate(kept);
 }
 
 /// Runs the deterministic `2x∆`-coloring of Theorem 1.5.
@@ -263,17 +516,16 @@ pub fn derandomized_coloring(graph: &CsrGraph, params: &DerandParams) -> DerandC
     derandomized_coloring_with_runtime(graph, params, &RoundPrimitives::sequential())
 }
 
-/// [`derandomized_coloring`] with the hot per-edge and per-node sweeps
-/// running on the supplied [`RoundPrimitives`] context — bit-identical
-/// results for any thread count.
+/// [`derandomized_coloring`] with the per-node sweeps running on the
+/// supplied [`RoundPrimitives`] context — bit-identical results for any
+/// thread count.
 ///
-/// The conditional-expectation evaluation (one collision probability per
-/// relevant edge, the inner loop of every seed batch) and the
-/// tentative-color / conflict sweeps are pure per-item functions, so they
-/// fan out as parallel maps; the floating-point probabilities are summed
-/// left-to-right in edge order afterwards, exactly as the sequential code
-/// does, so the fixed seeds (and therefore the colorings) never depend on
-/// the thread count.
+/// The seed search scores every candidate of a batch from one counting
+/// pass over the live edges (see the module docs): its conditional
+/// expectations are exact integers, so the fixed seeds depend on neither
+/// the thread count nor the edge order. The tentative-color and conflict
+/// sweeps that apply a fixed seed are pure per-node functions and fan out
+/// as parallel maps merged in index order.
 pub fn derandomized_coloring_with_runtime(
     graph: &CsrGraph,
     params: &DerandParams,
@@ -290,8 +542,9 @@ pub fn derandomized_coloring_with_runtime(
 /// node ids — the GF(2) seed queries encode them — so running it naively
 /// on a relabeled graph would change every query, every fixed seed, and
 /// every color. Encoding the original ids restores the exact original
-/// query multiset (the seed search's edge sums are exact dyadic rationals,
-/// hence addition-order-independent; see the relabel module docs), so the
+/// query multiset, and the seed search only counts queries per bucket, so
+/// its integer conditional expectations do not depend on the order in
+/// which relabeling lists the edges (see the relabel module docs): the
 /// returned coloring, un-permuted through the same permutation, is
 /// bit-identical to the unrelabeled run.
 pub fn derandomized_coloring_relabeled(
@@ -327,7 +580,6 @@ fn derand_run(
     let color_bits = palette.trailing_zeros() as usize;
     let id_bits = (usize::BITS - n.max(2).leading_zeros()) as usize;
     let cols = id_bits + 1;
-    let words = cols.div_ceil(WORD_BITS);
 
     let mpc = MpcConfig::new(n + graph.num_edges(), params.delta);
     let mut tracker = MpcCostTracker::new();
@@ -339,20 +591,20 @@ fn derand_run(
 
     // Per-phase buffers, allocated once per run and recycled across
     // phases: U-membership, the relevant-edge query table (flattened
-    // word-packed GF(2) vectors with stride `words` plus per-edge
-    // targets), tentative colors and conflict flags. Encoding scratch and
-    // the per-candidate probability buffer are leased from the primitives'
-    // scratch registry so concurrent layer invocations sharing one context
+    // word-packed GF(2) vectors with the seed's row stride plus per-edge
+    // targets), the seed search's buckets, tentative colors and conflict
+    // flags. Encoding scratch is leased from the primitives' scratch
+    // registry so concurrent layer invocations sharing one context
     // recycle each other's buffers.
     let mut in_u: Vec<bool> = Vec::new();
     let mut edge_dirs: Vec<u64> = Vec::new();
     let mut edge_targets: Vec<usize> = Vec::new();
+    let mut search = BatchSearch::default();
     let mut tentative: Vec<(NodeId, usize)> = Vec::new();
     let mut tentative_colors: Vec<Option<usize>> = Vec::new();
     let mut conflicts: Vec<bool> = Vec::new();
     let mut still_uncolored: Vec<NodeId> = Vec::new();
     let encodings = primitives.scratch_pool::<Vec<u64>>();
-    let probabilities = primitives.scratch_pool::<Vec<f64>>();
 
     while !uncolored.is_empty() && phases < params.max_phases {
         phases += 1;
@@ -372,9 +624,8 @@ fn derand_run(
         // endpoints in U (difference vector against target 0), or one
         // endpoint in U against the neighbor's fixed color. The queries
         // are seed-independent, so they are precomputed once per phase
-        // into a flat table — the conditional-expectation evaluations (one
-        // per candidate assignment per batch, the innermost loop of the
-        // derandomization) then allocate nothing per edge.
+        // into a flat table that the seed search then only reads and
+        // shrinks.
         edge_dirs.clear();
         edge_targets.clear();
         {
@@ -406,65 +657,25 @@ fn derand_run(
         }
         let num_edges = edge_targets.len();
 
-        // Conditional expectation of the number of monochromatic relevant
-        // edges under the (partially fixed) seed. The per-edge collision
-        // probabilities are computed in parallel (each is a pure function
-        // of the seed and the precomputed query); the final sum runs
-        // left-to-right in edge order, so the floating-point result — and
-        // therefore every seed decision — matches the sequential
-        // evaluation bit for bit.
-        let edge_probability = |seed: &Seed, edge: usize| -> f64 {
-            let query = &edge_dirs[edge * words..(edge + 1) * words];
-            seed.collision_probability(query, edge_targets[edge])
-        };
-        let expectation = |seed: &Seed| -> f64 {
-            if primitives.map_dispatches(num_edges) {
-                let mut probabilities = probabilities.lease();
-                primitives.par_node_map_into(
-                    num_edges,
-                    |edge| edge_probability(seed, edge),
-                    &mut probabilities,
-                );
-                probabilities.iter().sum()
-            } else {
-                // Streamed whenever the map would run inline anyway (the
-                // sequential path, and small late-phase edge sets): same
-                // left-to-right sum as the parallel branch, without
-                // materializing the per-edge probabilities.
-                (0..num_edges)
-                    .map(|edge| edge_probability(seed, edge))
-                    .sum()
-            }
-        };
-
         // Method of conditional expectations, one batch of seed bits at a
-        // time. Every batch costs one broadcast-tree aggregation per
+        // time, each candidate scored by the counting pass of the module
+        // docs. Every batch costs one broadcast-tree aggregation per
         // candidate assignment; candidates are evaluated "in parallel" in
-        // the model, so we charge a single aggregation per batch.
+        // the model, so we charge a single aggregation per batch, over all
+        // relevant edges.
         let total_bits = color_bits * cols;
         let batch = params.batch_bits.max(1);
         let mut next_bit = 0usize;
         while next_bit < total_bits {
             let upper = (next_bit + batch).min(total_bits);
-            let width = upper - next_bit;
-            let mut best_assignment = 0usize;
-            let mut best_value = f64::INFINITY;
-            for assignment in 0..(1usize << width) {
-                // The batch's bits were still free, so each candidate is
-                // evaluated by writing its bits directly into the seed —
-                // no per-candidate clone; the winning assignment is
-                // written back after the scan.
-                for (offset, bit_index) in (next_bit..upper).enumerate() {
-                    seed.set_bit(bit_index, (assignment >> offset) & 1 == 1);
-                }
-                let value = expectation(&seed);
-                if value < best_value {
-                    best_value = value;
-                    best_assignment = assignment;
-                }
-            }
+            let best_assignment =
+                search.best_assignment(&seed, next_bit, upper, &edge_dirs, &edge_targets);
             for (offset, bit_index) in (next_bit..upper).enumerate() {
                 seed.set_bit(bit_index, (best_assignment >> offset) & 1 == 1);
+            }
+            // The rows this batch finished.
+            for row in next_bit / cols..upper / cols {
+                drop_missed_edges(&seed, row, &mut edge_dirs, &mut edge_targets);
             }
             tracker.charge_aggregation(&mpc, num_edges.max(1));
             next_bit = upper;
@@ -869,6 +1080,100 @@ mod tests {
                 assert_eq!(seed.color_of(v), expected, "({rows}x{cols}) color_of({v})");
             }
         }
+    }
+
+    #[test]
+    fn bucketed_scores_match_the_collision_probability_oracle() {
+        // For every batch of every seed shape, each candidate's counted
+        // score must equal Σ collision_probability · 2^(F+T) over *all*
+        // edges of the table (the search sees only the live ones; a dead
+        // edge's probability is 0), with a random candidate committed
+        // after each batch so later batches meet varied fixed prefixes.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for rows in 1..=8 {
+            for cols in 3..=17 {
+                for batch_bits in 1..=7 {
+                    shapes.push((rows, cols, batch_bits));
+                }
+            }
+        }
+        // Queries spanning two words, and keys too wide for the dense
+        // table (a 12-bit batch touching five 3-column rows).
+        shapes.extend([(2, 70, 7), (3, 130, 5), (6, 3, 12)]);
+        let mut search = BatchSearch::default();
+        for (rows, cols, batch_bits) in shapes {
+            let words = cols.div_ceil(WORD_BITS);
+            let mut all_dirs = Vec::new();
+            let mut all_targets = Vec::new();
+            for _ in 0..16 {
+                let mut d = vec![0u64; words];
+                while d.iter().all(|&word| word == 0) {
+                    for (word, slot) in d.iter_mut().enumerate() {
+                        *slot = next() & low_mask((cols - word * WORD_BITS).min(WORD_BITS));
+                    }
+                }
+                all_dirs.extend_from_slice(&d);
+                all_targets.push(next() as usize & ((1 << rows) - 1));
+            }
+            let mut seed = Seed::new(rows, cols);
+            let total_bits = rows * cols;
+            let mut start = 0;
+            while start < total_bits {
+                let end = (start + batch_bits).min(total_bits);
+                let mut dirs = all_dirs.clone();
+                let mut targets = all_targets.clone();
+                for row in 0..start / cols {
+                    drop_missed_edges(&seed, row, &mut dirs, &mut targets);
+                }
+                search.score_candidates(&seed, start, end, &dirs, &targets);
+                let width = end - start;
+                assert_eq!(search.scores.len(), 1 << width);
+                // F + T = every row from the batch's first one on.
+                let scale = f64::from(1u32 << (rows - start / cols));
+                for (assignment, &score) in search.scores.iter().enumerate() {
+                    let mut candidate = seed.clone();
+                    for (offset, bit_index) in (start..end).enumerate() {
+                        candidate.set_bit(bit_index, (assignment >> offset) & 1 == 1);
+                    }
+                    let expected: f64 = all_targets
+                        .iter()
+                        .enumerate()
+                        .map(|(edge, &target)| {
+                            let d = &all_dirs[edge * words..(edge + 1) * words];
+                            candidate.collision_probability(d, target)
+                        })
+                        .sum();
+                    assert_eq!(
+                        score as f64,
+                        expected * scale,
+                        "{rows}x{cols}, batch {batch_bits} at bit {start}, candidate {assignment}"
+                    );
+                }
+                let pick = next() as usize & ((1 << width) - 1);
+                for (offset, bit_index) in (start..end).enumerate() {
+                    seed.set_bit(bit_index, (pick >> offset) & 1 == 1);
+                }
+                start = end;
+            }
+        }
+    }
+
+    #[test]
+    fn column_bits_cross_word_boundaries() {
+        let d = [0xF000_0000_0000_0001u64, 0b1011];
+        assert_eq!(column_bits(&d, 0, 1), 1);
+        assert_eq!(column_bits(&d, 60, 8), 0b1011_1111);
+        assert_eq!(column_bits(&d, 64, 3), 0b011);
+        assert_eq!(column_bits(&d, 0, 64), d[0]);
+        assert_eq!(low_mask(0), 0);
+        assert_eq!(low_mask(64), u64::MAX);
     }
 
     #[test]

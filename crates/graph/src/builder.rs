@@ -88,18 +88,7 @@ impl GraphBuilder {
 
     /// Finalizes the builder into an immutable [`CsrGraph`].
     pub fn build(self) -> CsrGraph {
-        let mut adjacency = vec![Vec::new(); self.num_nodes];
-        for (u, v) in &self.edges {
-            adjacency[*u].push(*v);
-            adjacency[*v].push(*u);
-        }
-        // BTreeSet iteration is sorted by (u, v); each adjacency list receives
-        // targets in increasing order of the *other* endpoint only for the
-        // first component, so sort explicitly to guarantee the CSR invariant.
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
-        CsrGraph::from_sorted_adjacency(adjacency)
+        CsrGraph::from_edge_vec(self.num_nodes, self.edges.into_iter().collect())
     }
 
     /// Finalizes into a cache-aware relabeled [`CsrGraph`] plus the

@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::builder::GraphBuilder;
-use crate::types::{Edge, NodeId};
+use crate::types::{canonical_edge, Edge, NodeId};
 
 /// An immutable, undirected, simple graph stored in compressed sparse row
 /// (CSR) form.
@@ -64,31 +63,66 @@ impl CsrGraph {
     where
         I: IntoIterator<Item = Edge>,
     {
-        let mut builder = GraphBuilder::new(n);
-        for (u, v) in edges {
-            builder.add_edge(u, v);
-        }
-        builder.build()
+        CsrGraph::from_edge_vec(n, edges.into_iter().collect())
     }
 
-    /// Internal constructor used by [`GraphBuilder`]; expects adjacency lists
-    /// that are already deduplicated and sorted.
-    pub(crate) fn from_sorted_adjacency(adjacency: Vec<Vec<NodeId>>) -> Self {
-        let n = adjacency.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        offsets.push(0);
-        for list in &adjacency {
-            targets.extend_from_slice(list);
-            offsets.push(targets.len());
+    /// Builds a graph with `n` nodes from an owned list of undirected
+    /// edges, reusing the list as sort space: every edge is put in
+    /// canonical `(u, v)` form with `u < v` (self-loops dropped), the list
+    /// is sorted and deduplicated, degrees are counted into the offsets,
+    /// and the targets are filled at exact capacity. Peak memory is the
+    /// edge list plus the finished graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge references a node `>= n`.
+    ///
+    /// ```
+    /// let graph = sparse_graph::CsrGraph::from_edge_vec(4, vec![(2, 0), (0, 2), (1, 1), (3, 2)]);
+    /// assert_eq!(graph.num_edges(), 2);
+    /// assert_eq!(graph.neighbors(2), &[0, 3]);
+    /// ```
+    pub fn from_edge_vec(n: usize, mut edges: Vec<Edge>) -> Self {
+        edges.retain_mut(|edge| {
+            let (u, v) = *edge;
+            assert!(
+                u < n && v < n,
+                "edge ({u}, {v}) references a node outside 0..{n}"
+            );
+            *edge = canonical_edge(u, v);
+            u != v
+        });
+        edges.sort_unstable();
+        edges.dedup();
+        // Count degrees so that `offsets[v]` ends up as the end of `v`'s
+        // row, then place targets back to front: each decrement moves a
+        // row's cursor down, leaving `offsets[v]` at the row's start.
+        // Walking the sorted edges backwards fills every row in ascending
+        // order — a node's smaller neighbors come from edges earlier in the
+        // list than its larger ones.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u] += 1;
+            offsets[v] += 1;
+        }
+        let mut total = 0;
+        for offset in &mut offsets {
+            total += *offset;
+            *offset = total;
+        }
+        let mut targets = vec![0; total];
+        for &(u, v) in edges.iter().rev() {
+            offsets[v] -= 1;
+            targets[offsets[v]] = u;
+            offsets[u] -= 1;
+            targets[offsets[u]] = v;
         }
         CsrGraph { offsets, targets }
     }
 
     /// Internal constructor from prebuilt CSR arrays; used by the relabel
-    /// machinery, which emits already-sorted, already-deduplicated rows and
-    /// would waste a full adjacency-list round-trip on
-    /// [`CsrGraph::from_sorted_adjacency`].
+    /// and induced-subgraph machinery, which emit already-sorted,
+    /// already-deduplicated rows.
     pub(crate) fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
         debug_assert_eq!(offsets.first().copied(), Some(0));
         debug_assert_eq!(offsets.last().copied(), Some(targets.len()));
@@ -244,6 +278,63 @@ mod tests {
         let g = CsrGraph::from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 2)]);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(2), 0);
+    }
+
+    #[test]
+    fn flat_build_matches_a_btreeset_reference() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        // Reference: the set of canonical non-loop edges, expanded into
+        // one sorted row per node.
+        let reference = |n: usize, edges: &[Edge]| -> CsrGraph {
+            let set: BTreeSet<Edge> = edges
+                .iter()
+                .filter(|&&(u, v)| u != v)
+                .map(|&(u, v)| canonical_edge(u, v))
+                .collect();
+            let mut rows = vec![Vec::new(); n];
+            for &(u, v) in &set {
+                rows[u].push(v);
+                rows[v].push(u);
+            }
+            let mut offsets = vec![0];
+            let mut targets = Vec::new();
+            for row in &mut rows {
+                row.sort_unstable();
+                targets.extend_from_slice(row);
+                offsets.push(targets.len());
+            }
+            CsrGraph::from_csr_parts(offsets, targets)
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        for case in 0..600 {
+            let n = match case % 6 {
+                0 => 0,
+                1 => 1,
+                2 => 2,
+                _ => rng.gen_range(3usize..60),
+            };
+            let mut edges = Vec::new();
+            if n > 0 {
+                // Ids drawn from the lower part only, so trailing nodes are
+                // often isolated; a small id range forces duplicates and
+                // self-loops.
+                let id_range = 1 + rng.gen_range(0..n);
+                for _ in 0..rng.gen_range(0..4 * n) {
+                    edges.push((rng.gen_range(0..id_range), rng.gen_range(0..id_range)));
+                }
+            }
+            let expected = reference(n, &edges);
+            let built = CsrGraph::from_edge_vec(n, edges.clone());
+            assert_eq!(built, expected, "case {case}: n = {n}, edges {edges:?}");
+            assert_eq!(built.targets.capacity(), built.targets.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "references a node outside")]
+    fn flat_build_rejects_out_of_range_nodes() {
+        CsrGraph::from_edge_vec(3, vec![(0, 1), (2, 3)]);
     }
 
     #[test]

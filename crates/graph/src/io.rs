@@ -9,7 +9,6 @@
 use std::fmt;
 use std::io::BufRead;
 
-use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 
 /// Error returned by [`parse_edge_list`] and [`read_edge_list`].
@@ -211,9 +210,7 @@ impl EdgeListReader {
             0
         }
         .max(min_nodes);
-        let mut builder = GraphBuilder::new(n);
-        builder.extend_edges(self.edges);
-        builder.build()
+        CsrGraph::from_edge_vec(n, self.edges)
     }
 }
 

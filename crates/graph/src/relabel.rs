@@ -32,11 +32,10 @@
 //!   node ids — its GF(2) queries encode them — so its relabeled entry
 //!   point encodes each node's **original** id
 //!   ([`NodePermutation::old_ids`]). With that, the seed search sees the
-//!   same multiset of queries; it sums per-edge collision probabilities in
-//!   edge order, which relabeling reorders, but every summand is an exact
-//!   dyadic rational `2^-k` with tiny `k`, so the partial sums are exact
-//!   in `f64` and the total is addition-order-independent (see the
-//!   README's determinism argument).
+//!   same multiset of queries. Relabeling reorders the edges, but the
+//!   search scores each candidate seed as an integer count of queries per
+//!   bucket (scaled collision probabilities), and integer sums do not
+//!   depend on the order of their terms.
 //!
 //! Orientations must be computed on the original graph and pushed through
 //! [`NodePermutation::permute_orientation`]: recomputing a degeneracy

@@ -182,7 +182,13 @@ mod tests {
                 row
             })
             .collect();
-        assert_eq!(sub.graph(), &CsrGraph::from_sorted_adjacency(adjacency));
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        for row in &adjacency {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len());
+        }
+        assert_eq!(sub.graph(), &CsrGraph::from_csr_parts(offsets, targets));
         assert_eq!(sub.original_nodes(), &nodes[..]);
     }
 

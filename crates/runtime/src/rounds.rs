@@ -261,14 +261,6 @@ impl RoundPrimitives {
         self.threads > 1
     }
 
-    /// Whether a map over `items` elements would actually dispatch to the
-    /// pool (rather than run inline). Callers with a cheaper streaming
-    /// fallback (e.g. an allocation-free sum) use this to skip the
-    /// collect-then-consume shape when no parallelism would be gained.
-    pub fn map_dispatches(&self, items: usize) -> bool {
-        self.threads > 1 && items >= MIN_PAR_ITEMS
-    }
-
     /// Tasks dispatched (pool chunks plus inline executions) so far.
     pub fn tasks_executed(&self) -> u64 {
         self.tasks.load(Ordering::Relaxed)

@@ -1,10 +1,10 @@
 //! The keyed result cache with in-flight request coalescing.
 //!
 //! Jobs are bucketed by a deterministic 64-bit hash of `(graph, config)`,
-//! but every claim verifies the *actual* graph and spec against the stored
-//! entry — a hash collision (accidental or attacker-crafted, FNV is not
-//! collision-resistant) therefore computes separately instead of serving
-//! the wrong coloring. The first submission of an entry claims the
+//! but every claim verifies the *actual* graph and spec against an exact,
+//! compact copy of the stored entry's inputs — a hash collision
+//! (accidental or attacker-crafted, FNV is not collision-resistant)
+//! therefore computes separately instead of serving the wrong coloring. The first submission of an entry claims the
 //! computation; later identical submissions either wait on the in-flight
 //! computation (coalescing — the work runs **once**) or are served the
 //! ready result immediately. Ready results are capped FIFO so a
@@ -49,18 +49,87 @@ enum CacheState {
     Ready(Arc<ColoringOutcome>),
 }
 
-/// One cached computation: the exact inputs plus its state. The inputs are
-/// kept so claims can verify them (see module docs).
+/// An exact, compact copy of a cached job's graph: the offsets of each
+/// node's upper row plus every edge once, as the `u32` id of its larger
+/// endpoint. An undirected CSR graph is determined by its node count and
+/// upper rows, so this verifies claims exactly in about a third of the
+/// memory of the `CsrGraph` itself.
+#[derive(Debug)]
+struct GraphCopy {
+    /// `upper_offsets[u]..upper_offsets[u + 1]` indexes `u`'s neighbors
+    /// `v > u` in `upper`.
+    upper_offsets: Vec<usize>,
+    upper: Vec<u32>,
+}
+
+impl GraphCopy {
+    fn new(graph: &CsrGraph) -> Self {
+        let mut upper_offsets = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut upper = Vec::with_capacity(graph.num_edges());
+        upper_offsets.push(0);
+        for u in graph.nodes() {
+            // Node ids fit in `u32`: the HTTP layer caps every request at
+            // `ServiceConfig::max_graph_nodes` (2^22 by default) nodes.
+            upper.extend(
+                upper_row(graph, u)
+                    .iter()
+                    .map(|&v| u32::try_from(v).expect("node ids below 2^32")),
+            );
+            upper_offsets.push(upper.len());
+        }
+        GraphCopy {
+            upper_offsets,
+            upper,
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.upper_offsets.len() - 1
+    }
+
+    fn num_edges(&self) -> usize {
+        self.upper.len()
+    }
+
+    /// Whether `graph` is exactly the copied graph: same node count, same
+    /// edge count, same upper row at every node.
+    fn matches(&self, graph: &CsrGraph) -> bool {
+        self.num_nodes() == graph.num_nodes()
+            && self.num_edges() == graph.num_edges()
+            && graph.nodes().all(|u| {
+                let copy = &self.upper[self.upper_offsets[u]..self.upper_offsets[u + 1]];
+                let row = upper_row(graph, u);
+                copy.len() == row.len() && copy.iter().zip(row).all(|(&a, &b)| a as usize == b)
+            })
+    }
+}
+
+/// `u`'s neighbors `v > u` (its adjacency row is sorted).
+fn upper_row(graph: &CsrGraph, u: usize) -> &[usize] {
+    let row = graph.neighbors(u);
+    &row[row.partition_point(|&v| v <= u)..]
+}
+
+/// One cached computation: an exact copy of the inputs plus its state. The
+/// inputs are kept so claims can verify them (see module docs).
 #[derive(Debug)]
 struct CacheEntry {
-    graph: Arc<CsrGraph>,
+    graph: GraphCopy,
     spec: JobSpec,
     state: CacheState,
 }
 
 impl CacheEntry {
-    fn matches(&self, graph: &Arc<CsrGraph>, spec: &JobSpec) -> bool {
-        self.spec == *spec && (Arc::ptr_eq(&self.graph, graph) || *self.graph == **graph)
+    fn new(graph: &CsrGraph, spec: &JobSpec, state: CacheState) -> Self {
+        CacheEntry {
+            graph: GraphCopy::new(graph),
+            spec: *spec,
+            state,
+        }
+    }
+
+    fn matches(&self, graph: &CsrGraph, spec: &JobSpec) -> bool {
+        self.spec == *spec && self.graph.matches(graph)
     }
 }
 
@@ -77,13 +146,14 @@ struct CacheInner {
     ready_cost: usize,
 }
 
-/// What a ready entry charges against the cache budget: a `Ready` entry
-/// pins the coloring (one cell per node) *and* the full `Arc<CsrGraph>`
-/// kept for collision verification (adjacency ~ one cell per directed
-/// edge), so both must count — a node-only budget would let a few dense
-/// graphs pin unbounded edge memory.
-fn cache_cost(graph: &CsrGraph) -> usize {
-    graph.num_nodes() + 2 * graph.num_edges()
+/// What a ready entry charges against the cache budget, in nodes plus
+/// directed edges of the cached graph: a `Ready` entry pins the coloring
+/// (one cell per node) *and* the graph copy kept for collision
+/// verification (a cell per node and per edge), so both must count — a
+/// node-only budget would let a few dense graphs pin unbounded edge
+/// memory.
+fn cache_cost(nodes: usize, edges: usize) -> usize {
+    nodes + 2 * edges
 }
 
 /// Counter snapshot of a [`ResultCache`].
@@ -123,7 +193,7 @@ pub struct ResultCache {
 impl ResultCache {
     /// Creates an empty cache retaining at most `capacity` ready results
     /// totalling at most `node_budget` in [`cache_cost`] units (nodes plus
-    /// directed edges of the pinned graphs; each at least 1; in-flight
+    /// directed edges of the cached graphs; each at least 1; in-flight
     /// entries are never evicted), each for at most `ttl` after it became
     /// ready. The budget keeps memory bounded when few-but-huge entries
     /// would stay under the entry cap; the TTL bounds how stale a served
@@ -147,7 +217,7 @@ impl ResultCache {
     }
 
     /// Claims `(graph, spec)` under bucket `key` for the job `waiter`.
-    pub fn claim(&self, key: u64, graph: &Arc<CsrGraph>, spec: &JobSpec, waiter: u64) -> Claim {
+    pub fn claim(&self, key: u64, graph: &CsrGraph, spec: &JobSpec, waiter: u64) -> Claim {
         let mut inner = self.inner.lock().expect("cache lock");
         self.expire_over_ttl(&mut inner);
         let bucket = inner.buckets.entry(key).or_default();
@@ -167,13 +237,13 @@ impl ResultCache {
                 }
             };
         }
-        bucket.push(CacheEntry {
-            graph: Arc::clone(graph),
-            spec: *spec,
-            state: CacheState::InFlight {
+        bucket.push(CacheEntry::new(
+            graph,
+            spec,
+            CacheState::InFlight {
                 waiters: Vec::new(),
             },
-        });
+        ));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Claim::Compute
     }
@@ -184,7 +254,7 @@ impl ResultCache {
     pub fn fulfill(
         &self,
         key: u64,
-        graph: &Arc<CsrGraph>,
+        graph: &CsrGraph,
         spec: &JobSpec,
         value: Arc<ColoringOutcome>,
     ) -> Vec<u64> {
@@ -204,15 +274,11 @@ impl ResultCache {
             break;
         }
         if !found {
-            bucket.push(CacheEntry {
-                graph: Arc::clone(graph),
-                spec: *spec,
-                state: CacheState::Ready(value),
-            });
+            bucket.push(CacheEntry::new(graph, spec, CacheState::Ready(value)));
         }
         inner.ready_order.push_back((key, Instant::now()));
         inner.ready_count += 1;
-        inner.ready_cost += cache_cost(graph);
+        inner.ready_cost += cache_cost(graph.num_nodes(), graph.num_edges());
         self.expire_over_ttl(&mut inner);
         self.evict_over_capacity(&mut inner);
         claimed_waiters
@@ -221,7 +287,7 @@ impl ResultCache {
     /// Drops the in-flight entry for `(graph, spec)` after a failed
     /// computation (identical future submissions recompute), returning the
     /// waiters to be failed alongside. Ready entries are untouched.
-    pub fn abandon(&self, key: u64, graph: &Arc<CsrGraph>, spec: &JobSpec) -> Vec<u64> {
+    pub fn abandon(&self, key: u64, graph: &CsrGraph, spec: &JobSpec) -> Vec<u64> {
         let mut inner = self.inner.lock().expect("cache lock");
         let Some(bucket) = inner.buckets.get_mut(&key) else {
             return Vec::new();
@@ -255,7 +321,8 @@ impl ResultCache {
             {
                 let entry = bucket.remove(position);
                 inner.ready_count -= 1;
-                inner.ready_cost = inner.ready_cost.saturating_sub(cache_cost(&entry.graph));
+                let cost = cache_cost(entry.graph.num_nodes(), entry.graph.num_edges());
+                inner.ready_cost = inner.ready_cost.saturating_sub(cost);
             }
             if bucket.is_empty() {
                 inner.buckets.remove(&key);
@@ -387,6 +454,45 @@ mod tests {
             ..JobSpec::default()
         };
         assert_eq!(cache.claim(key, &g1, &other_spec, 5), Claim::Compute);
+
+        // Near misses of g1 in the same bucket: one edge moved (same node
+        // and edge counts), one edge dropped, and only extra isolated
+        // nodes. None may hit g1's entry, nor each other's.
+        let mut edges: Vec<(usize, usize)> = g1.edges().collect();
+        let moved = edges.pop().unwrap();
+        let rewired = (
+            moved.0,
+            (moved.1 + 1..g1.num_nodes())
+                .chain(0..moved.0)
+                .find(|&w| w != moved.0 && !g1.has_edge(moved.0, w))
+                .unwrap(),
+        );
+        let near_misses = [
+            CsrGraph::from_edges(g1.num_nodes(), edges.iter().copied().chain([rewired])),
+            CsrGraph::from_edges(g1.num_nodes(), edges.iter().copied()),
+            CsrGraph::from_edges(g1.num_nodes() + 2, g1.edges()),
+        ];
+        assert_eq!(near_misses[0].num_edges(), g1.num_edges());
+        let values: Vec<_> = near_misses
+            .iter()
+            .map(|g| outcome_for(&Arc::new(g.clone())))
+            .collect();
+        for (waiter, g) in (6..).zip(&near_misses) {
+            assert_eq!(cache.claim(key, g, &spec, waiter), Claim::Compute);
+        }
+        for (g, value) in near_misses.iter().zip(&values) {
+            assert!(cache.fulfill(key, g, &spec, Arc::clone(value)).is_empty());
+        }
+        for (waiter, (g, value)) in (9..).zip(near_misses.iter().zip(&values)) {
+            match cache.claim(key, g, &spec, waiter) {
+                Claim::Hit(hit) => assert!(Arc::ptr_eq(&hit, value), "near miss hit a neighbour"),
+                other => panic!("expected a hit, got {other:?}"),
+            }
+        }
+        match cache.claim(key, &g1, &spec, 12) {
+            Claim::Hit(hit) => assert!(Arc::ptr_eq(&hit, &v1), "g1 must still get g1's coloring"),
+            other => panic!("expected a hit, got {other:?}"),
+        }
     }
 
     #[test]
@@ -437,9 +543,9 @@ mod tests {
     #[test]
     fn ready_results_are_bounded_by_node_budget() {
         // Entry capacity is ample, but the budget only fits one grid's
-        // cost (nodes + edges — a ready entry pins the whole graph, not
-        // just the coloring) at a time: each fulfill evicts the previous
-        // result.
+        // cost (nodes + edges — a ready entry keeps a copy of the graph,
+        // not just the coloring) at a time: each fulfill evicts the
+        // previous result.
         let spec = JobSpec::default();
         let g1 = graph(4);
         let g2 = graph(4);

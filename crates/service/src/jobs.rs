@@ -46,7 +46,7 @@ pub struct ServiceConfig {
     /// Ready results retained by the cache (FIFO eviction beyond this).
     pub cache_capacity: usize,
     /// Total size of all cached ready results, measured in nodes plus
-    /// directed edges of the pinned graphs (FIFO eviction beyond this) —
+    /// directed edges of the cached graphs (FIFO eviction beyond this) —
     /// entry counts alone would let a few huge entries exhaust memory
     /// while staying under `cache_capacity`.
     pub cache_node_budget: usize,

@@ -138,15 +138,30 @@ fn sigterm_drains_sheds_and_reaps_shard_workers() {
 
     // Within the 100 ms signal-poll interval the server flips to drain
     // mode; from then on submissions are shed with 503 + Retry-After.
+    // Probes accepted before the flip are full-size jobs with fresh seeds,
+    // so the queue still holds work when the flip lands: the queued jobs
+    // above may all have finished by the time the signal is sent, and a
+    // server with an empty queue exits as soon as it starts draining.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut shed = None;
+    let mut probe_seed = 100u64;
     while shed.is_none() && Instant::now() < deadline {
-        let tiny = Workload::ForestUnion { n: 40, k: 2 }.build(0);
+        let workload = Workload::PowerLaw {
+            n: 4000,
+            edges_per_node: 3,
+        };
+        let probe = workload.build(probe_seed);
+        probe_seed += 1;
+        let target = format!(
+            "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime=process&workers=2&min_nodes={}",
+            workload.alpha_bound(),
+            probe.num_nodes()
+        );
         match request_with_headers(
             addr,
             "POST",
-            "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=process&workers=2",
-            &write_edge_list(&tiny),
+            &target,
+            &write_edge_list(&probe),
             Some(Duration::from_secs(10)),
         ) {
             Ok((503, headers, body)) => shed = Some((headers, body)),
