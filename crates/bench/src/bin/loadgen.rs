@@ -17,11 +17,10 @@
 //! `--concurrency=C` (default 4), `--workload=forest|grid|powerlaw|tree`
 //! (default forest), `--n=NODES` (default 2000), `--unique` /
 //! `--cached` (vary the seed per job — default — or repeat one graph to
-//! measure the cache path), `--runtime=parallel|sequential|process`
-//! (default parallel), `--threads=N` and `--workers=N` — forwarded as
-//! the service's `runtime`/`threads`/`workers` query params, which drive
-//! the round scheduler, the intra-layer round primitives and the
-//! multi-process backend — `--json=PATH`, `--smoke`.
+//! measure the cache path), `--runtime=parallel|sequential` (default
+//! parallel) and `--threads=N` — forwarded as the service's
+//! `runtime`/`threads` query params, which drive the round scheduler and
+//! the intra-layer round primitives — `--json=PATH`, `--smoke`.
 //!
 //! A `503` answer (the server shedding load or draining for shutdown) is
 //! retried after its advertised `Retry-After` delay, a bounded number of
@@ -59,7 +58,6 @@ fn color_target(
     graph: &CsrGraph,
     runtime: &str,
     threads: Option<usize>,
-    workers: Option<usize>,
 ) -> String {
     let mut target = format!(
         "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime={runtime}&wait=1&min_nodes={}",
@@ -68,9 +66,6 @@ fn color_target(
     );
     if let Some(threads) = threads {
         target.push_str(&format!("&threads={threads}"));
-    }
-    if let Some(workers) = workers {
-        target.push_str(&format!("&workers={workers}"));
     }
     target
 }
@@ -175,7 +170,6 @@ fn main() {
     let workload = workload_for(&kind, n);
     let runtime: String = parse_flag(&args, "runtime").unwrap_or_else(|| "parallel".to_string());
     let threads: Option<usize> = parse_flag(&args, "threads");
-    let workers: Option<usize> = parse_flag(&args, "workers");
 
     if has_flag(&args, "smoke") {
         // One request; exit non-zero unless it is HTTP 200 with a proper
@@ -185,7 +179,7 @@ fn main() {
         let shed_retries = AtomicU64::new(0);
         match post_color(
             &addr,
-            &color_target(workload, &graph, &runtime, threads, workers),
+            &color_target(workload, &graph, &runtime, threads),
             &body,
             &shed_retries,
         ) {
@@ -245,7 +239,7 @@ fn main() {
                 let seed = if cached_mode { 0 } else { job as u64 };
                 let graph = workload.build(seed);
                 let body = write_edge_list(&graph);
-                let target = color_target(workload, &graph, &runtime, threads, workers);
+                let target = color_target(workload, &graph, &runtime, threads);
                 let request_started = Instant::now();
                 match post_color(&addr, &target, &body, &shed_retries) {
                     Ok((200, body)) => {

@@ -25,12 +25,10 @@ pub use workloads::Workload;
 use ampc_runtime::RuntimeConfig;
 
 /// Resolves a backend selection for the experiment harness: `kind` is an
-/// explicit choice (`"parallel"` / `"sequential"` / `"process"`, e.g.
-/// from a CLI flag), falling back to the `AMPC_RUNTIME` environment
-/// variable. In parallel mode, `AMPC_THREADS` / `AMPC_SHARDS` pin the
-/// worker and shard counts; in process mode `AMPC_WORKERS` pins the
-/// shard-worker child count. Results are bit-identical either way —
-/// only the wall clock changes.
+/// explicit choice (`"parallel"` / `"sequential"`, e.g. from a CLI flag),
+/// falling back to the `AMPC_RUNTIME` environment variable. In parallel
+/// mode, `AMPC_THREADS` / `AMPC_SHARDS` pin the worker and shard counts.
+/// Results are bit-identical either way — only the wall clock changes.
 pub fn resolve_runtime(kind: Option<&str>) -> RuntimeConfig {
     let parse = |name: &str| {
         std::env::var(name)
@@ -49,21 +47,14 @@ pub fn resolve_runtime(kind: Option<&str>) -> RuntimeConfig {
             }
             runtime
         }
-        Some("process") => {
-            let mut runtime = RuntimeConfig::process();
-            if let Some(workers) = parse("AMPC_WORKERS") {
-                runtime = runtime.with_workers(workers);
-            }
-            runtime
-        }
         Some("sequential") | None => RuntimeConfig::Sequential,
         Some(other) => {
             // Tables are bit-identical across backends, so a typo here
             // would otherwise go unnoticed while skewing wall-clock
             // comparisons.
             eprintln!(
-                "warning: unknown runtime `{other}` (expected `sequential`, `parallel` or \
-                 `process`); using the sequential backend"
+                "warning: unknown runtime `{other}` (expected `sequential` or `parallel`); \
+                 using the sequential backend"
             );
             RuntimeConfig::Sequential
         }

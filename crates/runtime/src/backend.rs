@@ -170,61 +170,40 @@ impl AmpcBackend for SequentialBackend {
         carry_forward: bool,
         body: &RoundBody<'_>,
     ) -> Result<RoundReport, ModelError> {
-        let plan = faults::active();
-        let deadline = faults::round_deadline();
-        if plan.is_none() && deadline.is_none() && faults::max_round_retries() == 0 {
-            // The production fast path: no plan, no deadline, no retries.
-            return self.round_once(machines, policy, carry_forward, body);
-        }
-        // Attempts of one logical round (and both backends) share the same
-        // round index — it only advances on success — so they share the
-        // same injection cells.
         let round = self.executor.metrics().num_rounds();
-        // Panics and model errors already leave the executor untouched
-        // ("failed rounds leave no trace"); only a deadline overrun is
-        // detected *after* the round committed, so it alone needs an input
-        // snapshot to roll back to. Cloned once, and only in deadline mode.
-        let snapshot = deadline.map(|_| self.executor.store().clone());
-        faults::run_with_retries(round, |attempt| {
-            let started = std::time::Instant::now();
+        faults::supervise(round, |attempt| {
             // The sequential merge happens inside the executor where it
             // cannot be intercepted, so an injected merge failure fires
             // before the round runs — behaviorally identical: the attempt
             // is lost whole and the retry replays from the same input.
-            if let Some(plan) = &plan {
-                if plan.merge_fails(round as u64, attempt) {
-                    faults::note_merge_failure();
-                    std::panic::panic_any(faults::InjectedPanic);
-                }
-            }
-            let result = if let Some(plan) = &plan {
+            attempt.before_merge();
+            // Panics and model errors already leave the executor untouched
+            // ("failed rounds leave no trace"); only a deadline overrun is
+            // detected *after* the round committed, so it alone needs an
+            // input snapshot to roll back to.
+            let snapshot = attempt
+                .has_deadline()
+                .then(|| self.executor.store().clone());
+            let report = if attempt.injects() {
                 let faulty_body = |machine: usize, ctx: &mut MachineContext<'_>| {
-                    if let Some(fault) = plan.task_fault(round as u64, machine as u64, attempt) {
-                        faults::apply(fault);
-                    }
+                    attempt.before_machine(machine);
                     body(machine, ctx)
                 };
                 self.round_once(machines, policy, carry_forward, &faulty_body)
             } else {
                 self.round_once(machines, policy, carry_forward, body)
-            };
-            match result {
-                Ok(report) => {
-                    if let Some(limit) = deadline {
-                        if started.elapsed() > limit {
-                            // Committed before the overrun was known: put
-                            // the store and metrics back, discard whole.
-                            if let Some(snapshot) = &snapshot {
-                                *self.executor.store_mut() = snapshot.clone();
-                            }
-                            self.executor.metrics_mut().discard_last_round();
-                            return Err(AttemptFailure::Deadline(limit.as_millis() as u64));
-                        }
-                    }
-                    Ok(report)
-                }
-                Err(error) => Err(AttemptFailure::Fatal(error)),
             }
+            .map_err(AttemptFailure::Fatal)?;
+            if let Err(overrun) = attempt.check_deadline() {
+                // Committed before the overrun was known: put the store
+                // and metrics back, discard whole.
+                if let Some(snapshot) = snapshot {
+                    *self.executor.store_mut() = snapshot;
+                }
+                self.executor.metrics_mut().discard_last_round();
+                return Err(overrun);
+            }
+            Ok(report)
         })
     }
 

@@ -4,7 +4,6 @@ use ampc_model::{AmpcConfig, DataStore};
 
 use crate::backend::{AmpcBackend, SequentialBackend};
 use crate::parallel::ParallelBackend;
-use crate::process_backend::ProcessBackend;
 
 /// Selects the executor backend (and its parallelism) for an algorithm run.
 ///
@@ -31,13 +30,6 @@ pub enum RuntimeConfig {
         /// spread, so auto-tuning preserves bit-identity.
         shards: Option<usize>,
     },
-    /// The multi-process runtime: shard merges run in supervised
-    /// `ampc-shard-worker` child OS processes (stage 1 of distributed
-    /// execution), with crash recovery by respawn + round replay.
-    Process {
-        /// Shard-worker child processes; `None` uses the default of 2.
-        workers: Option<usize>,
-    },
 }
 
 impl RuntimeConfig {
@@ -49,22 +41,8 @@ impl RuntimeConfig {
         }
     }
 
-    /// The multi-process runtime with the default worker count.
-    pub fn process() -> Self {
-        RuntimeConfig::Process { workers: None }
-    }
-
-    /// Pins the child-process count (switching to the process runtime if
-    /// necessary).
-    pub fn with_workers(self, workers: usize) -> Self {
-        RuntimeConfig::Process {
-            workers: Some(workers),
-        }
-    }
-
     /// Pins the worker thread count (switching to the parallel runtime if
-    /// necessary; a no-op for the process runtime, whose parallelism is
-    /// its worker-process count).
+    /// necessary).
     pub fn with_threads(self, threads: usize) -> Self {
         match self {
             RuntimeConfig::Sequential => RuntimeConfig::Parallel {
@@ -75,13 +53,11 @@ impl RuntimeConfig {
                 threads: Some(threads),
                 shards,
             },
-            process @ RuntimeConfig::Process { .. } => process,
         }
     }
 
     /// Pins the shard count (switching to the parallel runtime if
-    /// necessary; a no-op for the process runtime, whose shard count is
-    /// fixed at `4 × workers`).
+    /// necessary).
     pub fn with_shards(self, shards: usize) -> Self {
         match self {
             RuntimeConfig::Sequential => RuntimeConfig::Parallel {
@@ -92,21 +68,6 @@ impl RuntimeConfig {
                 threads,
                 shards: Some(shards),
             },
-            process @ RuntimeConfig::Process { .. } => process,
-        }
-    }
-
-    /// Whether the multi-process runtime is selected.
-    pub fn is_process(&self) -> bool {
-        matches!(self, RuntimeConfig::Process { .. })
-    }
-
-    /// Shard-worker child processes the process runtime spawns (0 for the
-    /// in-process runtimes).
-    pub fn effective_workers(&self) -> usize {
-        match self {
-            RuntimeConfig::Process { workers } => workers.unwrap_or(2).max(1),
-            _ => 0,
         }
     }
 
@@ -118,9 +79,7 @@ impl RuntimeConfig {
     /// Worker threads an algorithm phase may use (1 for sequential).
     pub fn effective_threads(&self) -> usize {
         match self {
-            // Process-runtime machine bodies run in the parent, single
-            // threaded; its parallelism lives in the worker processes.
-            RuntimeConfig::Sequential | RuntimeConfig::Process { .. } => 1,
+            RuntimeConfig::Sequential => 1,
             RuntimeConfig::Parallel { threads, .. } => threads
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
                 .max(1),
@@ -150,7 +109,6 @@ impl RuntimeConfig {
                 Some(shards) => (*shards).max(1),
                 None => (4 * self.effective_threads()).max(1),
             },
-            RuntimeConfig::Process { .. } => 4 * self.effective_workers(),
         }
     }
 
@@ -167,11 +125,6 @@ impl RuntimeConfig {
                 )
                 .with_auto_shard_tuning(self.auto_shards()),
             ),
-            RuntimeConfig::Process { .. } => Box::new(ProcessBackend::new(
-                config,
-                initial,
-                self.effective_workers(),
-            )),
         }
     }
 
@@ -184,9 +137,6 @@ impl RuntimeConfig {
                 self.effective_threads(),
                 self.effective_shards()
             ),
-            RuntimeConfig::Process { .. } => {
-                format!("process(workers={})", self.effective_workers())
-            }
         }
     }
 }
@@ -208,30 +158,6 @@ mod tests {
         let derived = RuntimeConfig::parallel().with_threads(2);
         assert_eq!(derived.effective_shards(), 8);
         assert!(RuntimeConfig::parallel().label().starts_with("parallel"));
-    }
-
-    #[test]
-    fn process_runtime_selection() {
-        let rt = RuntimeConfig::process();
-        assert!(rt.is_process());
-        assert!(!rt.is_parallel());
-        assert_eq!(rt.effective_workers(), 2);
-        assert_eq!(rt.effective_threads(), 1);
-        assert_eq!(rt.effective_shards(), 8);
-        assert_eq!(rt.label(), "process(workers=2)");
-        let pinned = RuntimeConfig::Sequential.with_workers(4);
-        assert!(pinned.is_process());
-        assert_eq!(pinned.effective_workers(), 4);
-        assert_eq!(pinned.effective_shards(), 16);
-        // Thread/shard pins are no-ops on the process runtime.
-        assert_eq!(pinned.with_threads(8).with_shards(64), pinned);
-        // Workers clamp to at least one; in-process runtimes have none.
-        assert_eq!(
-            RuntimeConfig::process().with_workers(0).effective_workers(),
-            1
-        );
-        assert_eq!(RuntimeConfig::Sequential.effective_workers(), 0);
-        assert_eq!(RuntimeConfig::parallel().effective_workers(), 0);
     }
 
     #[test]

@@ -27,12 +27,9 @@
 //! * `abort=1/N` — the pool worker running the machine is poisoned: it
 //!   panics the task *and* exits after the batch, forcing a supervised
 //!   respawn.
-//! * `kill=1/N` — the `abort` kind taken across a process boundary: the
-//!   shard-worker **child process** selected by the `(round, worker)`
-//!   cell is genuinely SIGKILLed by the `ProcessBackend` supervisor,
-//!   which then respawns it and replays the round from its retained
-//!   input (only the process backend runs child workers; the in-process
-//!   backends ignore this rate).
+//!
+//! Any other field name is rejected, and a malformed `AMPC_FAULTS` is
+//! ignored as a whole.
 //!
 //! Every injected fault fires on **attempt 0 only**: a retried round
 //! replays from the same input store with no faults, so the merged result
@@ -41,12 +38,16 @@
 //! a deterministic error reproduces identically on every attempt, so
 //! retries never change *which* error the caller sees.
 //!
-//! When no plan is installed the whole module collapses to one relaxed
-//! atomic load per round — the no-op branch the hot path pays.
+//! Both backends run every round through one crate-private supervisor
+//! (`supervise`), the one owner of the plan and deadline lookup, the
+//! bounded retry loop and the injection points; a backend supplies only
+//! its attempt body. When no plan, deadline or retry budget is
+//! configured, supervision collapses to one direct call of that body —
+//! the no-op branch the hot path pays.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fault injected into one machine's body execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +85,6 @@ pub struct FaultPlan {
     pub alloc_rate: u64,
     /// Poison the worker of 1-in-`abort_rate` cells.
     pub abort_rate: u64,
-    /// SIGKILL the shard-worker child process of 1-in-`kill_rate`
-    /// `(round, worker)` cells (process backend only).
-    pub kill_rate: u64,
 }
 
 impl FaultPlan {
@@ -118,7 +116,6 @@ impl FaultPlan {
                 "merge" => plan.merge_rate = rate(value.trim())?,
                 "alloc" => plan.alloc_rate = rate(value.trim())?,
                 "abort" => plan.abort_rate = rate(value.trim())?,
-                "kill" => plan.kill_rate = rate(value.trim())?,
                 other => return Err(format!("unknown fault field `{other}`")),
             }
         }
@@ -151,15 +148,6 @@ impl FaultPlan {
     /// Whether round `round`'s shard merge fails on attempt `attempt`.
     pub fn merge_fails(&self, round: u64, attempt: u32) -> bool {
         attempt == 0 && fires(mix(self.seed, round, u64::MAX), 4, self.merge_rate)
-    }
-
-    /// Whether the shard-worker child process `worker` is SIGKILLed while
-    /// serving round `round`. Keyed per `(round, worker)` cell — never by
-    /// pid or wall clock — so a plan kills the same workers in the same
-    /// rounds on every run; like every other kind it fires on attempt 0
-    /// only, so the supervised replay always converges.
-    pub fn worker_killed(&self, round: u64, worker: u64, attempt: u32) -> bool {
-        attempt == 0 && fires(mix(self.seed, round, worker), 5, self.kill_rate)
     }
 }
 
@@ -337,14 +325,6 @@ pub struct FaultCounters {
     pub rounds_retried: u64,
     /// Round attempts discarded because they overran the deadline.
     pub deadline_trips: u64,
-    /// Shard-worker child processes SIGKILLed by the `kill` fault kind.
-    pub worker_kills: u64,
-    /// Shard-worker child processes respawned by the supervisor after a
-    /// death (injected kill, external SIGKILL, EOF or deadline miss).
-    pub worker_process_restarts: u64,
-    /// Rounds whose input was re-streamed to a respawned worker after a
-    /// mid-round death.
-    pub rounds_replayed: u64,
 }
 
 static INJECTED_PANICS: AtomicU64 = AtomicU64::new(0);
@@ -354,13 +334,6 @@ static INJECTED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static WORKER_POISONS: AtomicU64 = AtomicU64::new(0);
 static ROUNDS_RETRIED: AtomicU64 = AtomicU64::new(0);
 static DEADLINE_TRIPS: AtomicU64 = AtomicU64::new(0);
-static WORKER_KILLS: AtomicU64 = AtomicU64::new(0);
-static WORKER_PROCESS_RESTARTS: AtomicU64 = AtomicU64::new(0);
-static ROUNDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
-/// Live shard-worker child processes, as `spawns - observed deaths`.
-/// Signed because a death can be observed (and counted) slightly before
-/// the spawn accounting of its replacement settles; reads clamp at 0.
-static WORKERS_ALIVE: AtomicI64 = AtomicI64::new(0);
 
 /// A snapshot of the process-wide fault/recovery counters.
 pub fn counters() -> FaultCounters {
@@ -372,63 +345,12 @@ pub fn counters() -> FaultCounters {
         worker_poisons: WORKER_POISONS.load(Ordering::Relaxed),
         rounds_retried: ROUNDS_RETRIED.load(Ordering::Relaxed),
         deadline_trips: DEADLINE_TRIPS.load(Ordering::Relaxed),
-        worker_kills: WORKER_KILLS.load(Ordering::Relaxed),
-        worker_process_restarts: WORKER_PROCESS_RESTARTS.load(Ordering::Relaxed),
-        rounds_replayed: ROUNDS_REPLAYED.load(Ordering::Relaxed),
     }
-}
-
-/// Number of shard-worker child processes currently alive (the
-/// `workers_alive` gauge in `/healthz` and `/metrics`).
-pub fn workers_alive() -> u64 {
-    WORKERS_ALIVE.load(Ordering::Relaxed).max(0) as u64
-}
-
-/// Records one injected SIGKILL of a shard-worker child.
-pub fn note_worker_kill() {
-    WORKER_KILLS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one shard-worker child spawn (bumps the liveness gauge).
-pub fn note_worker_spawned() {
-    WORKERS_ALIVE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one observed shard-worker child death (drops the liveness
-/// gauge). Respawns are counted separately via
-/// [`note_worker_process_restart`].
-pub fn note_worker_death() {
-    WORKERS_ALIVE.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Records one supervised respawn of a dead shard-worker child.
-pub fn note_worker_process_restart() {
-    WORKER_PROCESS_RESTARTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one round whose input was re-streamed after a worker death.
-pub fn note_round_replayed() {
-    ROUNDS_REPLAYED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one retried round (called by the backends' retry loops).
-pub fn note_round_retry() {
-    ROUNDS_RETRIED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one deadline-overrun attempt.
-pub fn note_deadline_trip() {
-    DEADLINE_TRIPS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one injected merge failure.
-pub fn note_merge_failure() {
-    INJECTED_MERGES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Performs the side effect of an injected task fault. `Panic` and
 /// `AbortWorker` do not return.
-pub fn apply(fault: TaskFault) {
+fn apply(fault: TaskFault) {
     match fault {
         TaskFault::Panic => {
             INJECTED_PANICS.fetch_add(1, Ordering::Relaxed);
@@ -461,7 +383,7 @@ pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The shared bounded-retry driver for both backends.
+// Round supervision, shared by both backends.
 
 /// Why one round attempt did not produce a report.
 pub(crate) enum AttemptFailure {
@@ -473,31 +395,116 @@ pub(crate) enum AttemptFailure {
     Deadline(u64),
 }
 
-/// Runs `attempt_fn` until it succeeds or the bounded retry budget
-/// ([`max_round_retries`]) is exhausted, with exponential backoff between
-/// attempts. Panics out of an attempt (injected or real) are caught and
-/// retried; an attempt must therefore leave the backend untouched until it
-/// commits — the "failed rounds leave no trace" invariant both backends
-/// already hold.
-pub(crate) fn run_with_retries<T>(
+/// One attempt of a supervised round, handed to the backend's attempt
+/// body by [`supervise`]: the injection points the body calls, and the
+/// attempt's deadline. Without a plan every hook is one untaken branch.
+pub(crate) struct Attempt<'p> {
+    plan: Option<&'p FaultPlan>,
+    round: u64,
+    number: u32,
+    /// `(attempt start, per-round limit)` when a deadline is configured.
+    deadline: Option<(Instant, Duration)>,
+}
+
+impl Attempt<'_> {
+    /// Whether a plan is installed, i.e. whether [`Attempt::before_machine`]
+    /// can fire at all — lets a backend skip wrapping its machine body.
+    pub(crate) fn injects(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    /// Fires the task fault the plan puts on `machine` in this attempt, if
+    /// any. Called before each machine body; keyed on the machine id, never
+    /// the chunk or worker, so the same cells fault for any thread count.
+    #[inline]
+    pub(crate) fn before_machine(&self, machine: usize) {
+        if let Some(plan) = self.plan {
+            if let Some(fault) = plan.task_fault(self.round, machine as u64, self.number) {
+                apply(fault);
+            }
+        }
+    }
+
+    /// Loses this attempt's merge when the plan fails it: the attempt
+    /// unwinds with an injected panic and the retry replays the round from
+    /// its untouched input store.
+    pub(crate) fn before_merge(&self) {
+        if let Some(plan) = self.plan {
+            if plan.merge_fails(self.round, self.number) {
+                INJECTED_MERGES.fetch_add(1, Ordering::Relaxed);
+                std::panic::panic_any(InjectedPanic);
+            }
+        }
+    }
+
+    /// Whether a per-round deadline applies to this attempt.
+    pub(crate) fn has_deadline(&self) -> bool {
+        self.deadline.is_some()
+    }
+
+    /// [`AttemptFailure::Deadline`] once this attempt has run longer than
+    /// the per-round deadline.
+    pub(crate) fn check_deadline(&self) -> Result<(), AttemptFailure> {
+        match self.deadline {
+            Some((started, limit)) if started.elapsed() > limit => {
+                Err(AttemptFailure::Deadline(limit.as_millis() as u64))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Runs round `round` through `attempt_fn` under the active plan, deadline
+/// and retry budget ([`max_round_retries`]), retrying with exponential
+/// backoff until an attempt succeeds or the budget is spent. Panics out of
+/// an attempt (injected or real) are caught and retried, so an attempt
+/// must leave the backend untouched until it commits — the "failed rounds
+/// leave no trace" invariant both backends hold.
+///
+/// `round` is the backend's completed-round count, which only advances on
+/// success: every attempt of one logical round, on either backend, sees
+/// the same injection cells.
+pub(crate) fn supervise<T>(
     round: usize,
-    mut attempt_fn: impl FnMut(u32) -> Result<T, AttemptFailure>,
+    mut attempt_fn: impl FnMut(&Attempt<'_>) -> Result<T, AttemptFailure>,
 ) -> Result<T, ampc_model::ModelError> {
+    let plan = active();
+    let limit = round_deadline();
     let max_retries = max_round_retries();
-    let mut attempt = 0u32;
+    if plan.is_none() && limit.is_none() && max_retries == 0 {
+        // The production fast path: one attempt, no unwind guard, and
+        // hooks that never fire.
+        let clean = Attempt {
+            plan: None,
+            round: round as u64,
+            number: 0,
+            deadline: None,
+        };
+        return attempt_fn(&clean).map_err(|failure| match failure {
+            AttemptFailure::Fatal(error) => error,
+            AttemptFailure::Deadline(_) => unreachable!("no deadline configured"),
+        });
+    }
+    let mut number = 0u32;
     loop {
+        let attempt = Attempt {
+            plan: plan.as_ref(),
+            round: round as u64,
+            number,
+            deadline: limit.map(|limit| (Instant::now(), limit)),
+        };
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt_fn(attempt)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt_fn(&attempt)));
         match outcome {
             Ok(Ok(value)) => return Ok(value),
             Ok(Err(AttemptFailure::Fatal(error))) => return Err(error),
             Ok(Err(AttemptFailure::Deadline(deadline_ms))) => {
-                note_deadline_trip();
-                if attempt >= max_retries {
+                DEADLINE_TRIPS.fetch_add(1, Ordering::Relaxed);
+                if number >= max_retries {
                     return Err(ampc_model::ModelError::RoundDeadlineExceeded {
                         round,
                         deadline_ms,
-                        attempts: attempt + 1,
+                        attempts: number + 1,
                     });
                 }
             }
@@ -506,7 +513,7 @@ pub(crate) fn run_with_retries<T>(
                 // calling thread itself — clear the stray poison flag (no
                 // pool worker to respawn here).
                 let _ = take_worker_poison();
-                if attempt >= max_retries {
+                if number >= max_retries {
                     return Err(ampc_model::ModelError::RoundPanicked {
                         round,
                         detail: panic_detail(payload.as_ref()),
@@ -514,9 +521,9 @@ pub(crate) fn run_with_retries<T>(
                 }
             }
         }
-        note_round_retry();
-        std::thread::sleep(Duration::from_millis(1u64 << attempt.min(6)));
-        attempt += 1;
+        ROUNDS_RETRIED.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(1u64 << number.min(6)));
+        number += 1;
     }
 }
 
@@ -540,7 +547,7 @@ mod tests {
     #[test]
     fn parse_accepts_rates_and_rejects_junk() {
         let plan = FaultPlan::parse(
-            "seed=7, panic=1/40, stall=48, stall_ms=2, merge=1/400, alloc=1/64, abort=1/96, kill=1/128",
+            "seed=7, panic=1/40, stall=48, stall_ms=2, merge=1/400, alloc=1/64, abort=1/96",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -550,7 +557,6 @@ mod tests {
         assert_eq!(plan.merge_rate, 400);
         assert_eq!(plan.alloc_rate, 64);
         assert_eq!(plan.abort_rate, 96);
-        assert_eq!(plan.kill_rate, 128);
         assert_eq!(
             FaultPlan::parse("").unwrap(),
             FaultPlan {
@@ -561,6 +567,7 @@ mod tests {
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("panic=x").is_err());
         assert!(FaultPlan::parse("warp=1/2").is_err());
+        assert!(FaultPlan::parse("kill=1/128").is_err());
     }
 
     #[test]
@@ -584,26 +591,6 @@ mod tests {
         }
         // ~3/8 of 4096 cells; loose bounds, the point is "plenty but not all".
         assert!(fired > 400 && fired < 3000, "{fired} faults fired");
-    }
-
-    #[test]
-    fn worker_kills_are_deterministic_attempt_gated_and_plentiful() {
-        let plan = FaultPlan::parse("seed=9,kill=1/4").unwrap();
-        let mut killed = 0usize;
-        for round in 0..64u64 {
-            for worker in 0..4u64 {
-                let first = plan.worker_killed(round, worker, 0);
-                assert_eq!(first, plan.worker_killed(round, worker, 0), "stable");
-                assert!(!plan.worker_killed(round, worker, 1), "replays run clean");
-                killed += usize::from(first);
-            }
-        }
-        // ~1/4 of 256 cells.
-        assert!(killed > 20 && killed < 150, "{killed} kills fired");
-        assert!(
-            !FaultPlan::default().worker_killed(3, 1, 0),
-            "rate 0 never fires"
-        );
     }
 
     #[test]

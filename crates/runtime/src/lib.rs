@@ -18,12 +18,9 @@
 //!   executor.
 //! * [`AmpcBackend`] — the executor abstraction all backends implement, so
 //!   every algorithm in the workspace runs on any of them through a
-//!   [`RuntimeConfig`] switch.
-//! * [`ProcessBackend`] — the multi-process round scheduler (stage 1 of
-//!   distributed execution): shard merges run in supervised
-//!   `ampc-shard-worker` **child OS processes** speaking a length-prefixed
-//!   binary protocol over pipes; a killed worker is respawned and the
-//!   round replayed from retained input, bit-identically.
+//!   [`RuntimeConfig`] switch. Both backends share one round supervisor
+//!   (fault injection, deadline and bounded retry, see [`faults`]) and
+//!   differ only in how an attempt executes and merges.
 //! * [`WorkerPool`] — a **persistent** worker pool: threads are spawned once
 //!   per pool (the process-wide [`WorkerPool::global`] pool by default) and
 //!   reused across rounds, backends and jobs, instead of scoped-spawning
@@ -117,11 +114,9 @@ pub mod alloc_count;
 mod backend;
 mod config;
 pub mod faults;
-mod ipc;
 mod parallel;
 pub mod perf;
 mod pool;
-mod process_backend;
 mod rounds;
 mod scratch;
 mod shard;
@@ -131,11 +126,9 @@ pub mod trace;
 pub use ampc_model::{ConflictPolicy, RoundRuntimeStats};
 pub use backend::{AmpcBackend, RoundBody, SequentialBackend};
 pub use config::RuntimeConfig;
-pub use ipc::shard_worker_main;
 pub use parallel::ParallelBackend;
 pub use perf::{PerfCounters, PerfSink};
 pub use pool::{parallel_map, parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
-pub use process_backend::ProcessBackend;
 pub use rounds::RoundPrimitives;
 pub use scratch::{
     scratch_totals, BitSet, EpochMap, MarkerSet, ScratchCounters, ScratchLease, ScratchPool,

@@ -9,7 +9,7 @@ use ampc_model::{
 };
 
 use crate::backend::{AmpcBackend, RoundBody};
-use crate::faults::{self, AttemptFailure, FaultPlan};
+use crate::faults::{self, Attempt, AttemptFailure};
 use crate::pool::{chunk_ranges, PoolStats, ScopedTask, WorkerPool};
 use crate::shard::{FlatShard, ShardedStore};
 use crate::trace::{span_on, TraceContext};
@@ -203,17 +203,15 @@ impl ParallelBackend {
     }
 
     /// Executes the machine bodies for one round, returning per-chunk
-    /// outcomes in chunk (= ascending machine) order. `faults` carries the
-    /// active fault plan plus the `(round, attempt)` injection coordinates;
-    /// injections key on the machine id, never the chunk or worker, so the
-    /// same cells fault for any thread count.
+    /// outcomes in chunk (= ascending machine) order. `attempt` fires the
+    /// planned task fault before each machine body.
     fn execute_machines(
         &self,
         machines: usize,
         body: &RoundBody<'_>,
         read_budget: usize,
         write_budget: usize,
-        faults: Option<(&FaultPlan, usize, u32)>,
+        attempt: &Attempt<'_>,
     ) -> Vec<ChunkOutcome> {
         let num_shards = self.store.num_shards();
         let chunks = chunk_ranges(machines, self.threads);
@@ -229,13 +227,7 @@ impl ParallelBackend {
                     // One write buffer for every machine of the chunk.
                     let mut buffer = Vec::new();
                     for machine in range {
-                        if let Some((plan, round, attempt)) = faults {
-                            if let Some(fault) =
-                                plan.task_fault(round as u64, machine as u64, attempt)
-                            {
-                                faults::apply(fault);
-                            }
-                        }
+                        attempt.before_machine(machine);
                         let mut ctx = MachineContext::for_round(
                             machine,
                             store,
@@ -437,33 +429,9 @@ impl AmpcBackend for ParallelBackend {
         carry_forward: bool,
         body: &RoundBody<'_>,
     ) -> Result<RoundReport, ModelError> {
-        let plan = faults::active();
-        let deadline = faults::round_deadline();
-        if plan.is_none() && deadline.is_none() && faults::max_round_retries() == 0 {
-            // The production fast path: no plan, no deadline, no retries —
-            // run the attempt directly with zero extra bookkeeping.
-            return match self.attempt_round(machines, policy, carry_forward, body, None, 0, 0, None)
-            {
-                Ok(report) => Ok(report),
-                Err(AttemptFailure::Fatal(error)) => Err(error),
-                Err(AttemptFailure::Deadline(_)) => unreachable!("no deadline configured"),
-            };
-        }
-        // The round index only advances on success, so every attempt of
-        // one logical round — and both backends — see the same index, and
-        // with it the same injection cells.
         let round = self.metrics.num_rounds();
-        faults::run_with_retries(round, |attempt| {
-            self.attempt_round(
-                machines,
-                policy,
-                carry_forward,
-                body,
-                plan.as_ref(),
-                round,
-                attempt,
-                deadline,
-            )
+        faults::supervise(round, |attempt| {
+            self.attempt_round(machines, policy, carry_forward, body, attempt)
         })
     }
 
@@ -485,17 +453,13 @@ impl ParallelBackend {
     /// retune) only at the very end, so a panic, injected failure or
     /// deadline overrun anywhere earlier leaves the backend byte-identical
     /// to its pre-round state — which is what makes a retry a clean replay.
-    #[allow(clippy::too_many_arguments)]
     fn attempt_round(
         &mut self,
         machines: usize,
         policy: ConflictPolicy,
         carry_forward: bool,
         body: &RoundBody<'_>,
-        plan: Option<&FaultPlan>,
-        round: usize,
-        attempt: u32,
-        deadline: Option<std::time::Duration>,
+        attempt: &Attempt<'_>,
     ) -> Result<RoundReport, AttemptFailure> {
         let started = Instant::now();
         // Guards borrow the context, so hold the Arc in a local: `self`
@@ -516,24 +480,12 @@ impl ParallelBackend {
         let mut outcomes = {
             let _span = span_on(trace.as_deref(), "backend.execute", "backend")
                 .with_arg("machines", machines as u64);
-            self.execute_machines(
-                machines,
-                body,
-                read_budget,
-                write_budget,
-                plan.map(|p| (p, round, attempt)),
-            )
+            self.execute_machines(machines, body, read_budget, write_budget, attempt)
         };
 
         // Injected merge failure: the whole merge phase of this attempt is
-        // declared lost before it starts; the retry replays the round from
-        // its untouched input store.
-        if let Some(plan) = plan {
-            if plan.merge_fails(round as u64, attempt) {
-                faults::note_merge_failure();
-                std::panic::panic_any(faults::InjectedPanic);
-            }
-        }
+        // declared lost before it starts.
+        attempt.before_merge();
 
         // Error precedence replays the sequential executor's event order:
         // it runs machine m's body and then merges m's writes before
@@ -565,11 +517,7 @@ impl ParallelBackend {
 
         // Deadline check before anything commits: an overrunning attempt
         // is discarded whole, exactly like a panicked one.
-        if let Some(limit) = deadline {
-            if started.elapsed() > limit {
-                return Err(AttemptFailure::Deadline(limit.as_millis() as u64));
-            }
-        }
+        attempt.check_deadline()?;
 
         let shard_reads = self.store.read_counts();
         self.store.replace_shards(next_shards);

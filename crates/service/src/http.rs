@@ -380,7 +380,7 @@ pub fn read_head(
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; an explicit
     // `Connection:` header overrides either way.
     let mut close = version == "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -388,10 +388,25 @@ pub fn read_head(
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed(format!("bad header line `{line}`")));
         };
+        // Ambiguous framing is rejected outright (RFC 9112 §6.3): on a
+        // kept-alive connection, a body length the client did not mean
+        // would read the rest of its body as the next request.
         if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse::<usize>().map_err(|_| {
-                HttpError::Malformed(format!("bad Content-Length `{}`", value.trim()))
-            })?;
+            let value = value.trim();
+            let length = match value.parse::<usize>() {
+                Ok(length) if value.bytes().all(|byte| byte.is_ascii_digit()) => length,
+                _ => {
+                    return Err(HttpError::Malformed(format!(
+                        "bad Content-Length `{value}`"
+                    )))
+                }
+            };
+            if content_length.is_some_and(|previous| previous != length) {
+                return Err(HttpError::Malformed(
+                    "conflicting Content-Length headers".to_string(),
+                ));
+            }
+            content_length = Some(length);
         }
         if name.trim().eq_ignore_ascii_case("connection") {
             let value = value.trim().to_ascii_lowercase();
@@ -410,6 +425,7 @@ pub fn read_head(
             )));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::TooLarge(format!(
             "declared body of {content_length} bytes exceeds the {max_body}-byte limit"
@@ -691,6 +707,25 @@ mod tests {
         .unwrap();
         assert_eq!(head.path, "/healthz");
         assert!(head.close, "Connection: close honored");
+        // Ambiguous body framing is malformed: two differing lengths, or a
+        // length that is not all digits (`usize::from_str` accepts `+4`).
+        for wire in [
+            "POST /v1/color HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n\r\n0 1\n",
+            "POST /v1/color HTTP/1.1\r\nContent-Length: +4\r\n\r\n0 1\n",
+        ] {
+            let error = read_head(
+                &mut server_side,
+                1024,
+                Instant::now() + Duration::from_secs(5),
+                wire.as_bytes().to_vec(),
+                true,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(error, HttpError::Malformed(_)),
+                "{wire:?}: {error}"
+            );
+        }
         drop(client);
     }
 }

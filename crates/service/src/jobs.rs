@@ -887,10 +887,6 @@ pub fn job_key(graph: &CsrGraph, spec: &JobSpec) -> u64 {
             hash.write_u64(threads.map_or(0, |t| t as u64 + 1));
             hash.write_u64(shards.map_or(0, |s| s as u64 + 1));
         }
-        RuntimeConfig::Process { workers } => {
-            hash.write_u64(2);
-            hash.write_u64(workers.map_or(0, |w| w as u64 + 1));
-        }
     }
     hash.write_u64(policy_tag(spec.policy));
     hash.finish()

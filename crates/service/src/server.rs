@@ -253,10 +253,9 @@ impl ServerHandle {
 
     /// Graceful shutdown: [`ServerHandle::drain`] with a bounded deadline,
     /// then [`ServerHandle::shutdown`]. Joining the acceptors and dropping
-    /// the job manager reaps every worker thread — and, with them, every
-    /// `ampc-shard-worker` child process (each backend's drop SIGKILLs and
-    /// waits on its children). Returns whether the drain completed in
-    /// time; on `false`, still-queued jobs were abandoned at the deadline.
+    /// the job manager reaps every worker thread. Returns whether the
+    /// drain completed in time; on `false`, still-queued jobs were
+    /// abandoned at the deadline.
     pub fn shutdown_graceful(self, drain_timeout: Duration) -> bool {
         let drained = self.drain(drain_timeout);
         self.shutdown();
@@ -392,9 +391,6 @@ fn handle_request(
                     .u64("requests_shed", state.counters.shed.load(Ordering::Relaxed))
                     .u64("jobs_retried", counters.jobs_retried)
                     .u64("rounds_retried", faults.rounds_retried)
-                    .u64("workers_alive", ampc_runtime::faults::workers_alive())
-                    .u64("worker_process_restarts", faults.worker_process_restarts)
-                    .u64("rounds_replayed", faults.rounds_replayed)
                     .finish(),
             )
         }
@@ -735,23 +731,12 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
             .map_err(|_| error_response(400, &format!("bad max_rounds `{raw}`")))?;
     }
 
-    // All three values size allocations (worker chunks, shard hash maps,
-    // child processes), so an untrusted client must not be able to pick
-    // them arbitrarily large.
+    // Both values size allocations (worker chunks, shard hash maps), so an
+    // untrusted client must not be able to pick them arbitrarily large.
     const MAX_THREADS: usize = 256;
     const MAX_SHARDS: usize = 4096;
-    const MAX_WORKERS: usize = 32;
     let threads = parse_optional_response(head, "threads")?;
     let shards = parse_optional_response(head, "shards")?;
-    let workers = parse_optional_response(head, "workers")?;
-    if let Some(workers) = workers {
-        if workers == 0 || workers > MAX_WORKERS {
-            return Err(error_response(
-                400,
-                &format!("workers must lie in 1..={MAX_WORKERS}"),
-            ));
-        }
-    }
     if let Some(threads) = threads {
         if threads == 0 || threads > MAX_THREADS {
             return Err(error_response(
@@ -772,9 +757,7 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
         }
     }
     let runtime_kind = head.query_param("runtime").unwrap_or({
-        if workers.is_some() {
-            "process"
-        } else if threads.is_some() || shards.is_some() {
+        if threads.is_some() || shards.is_some() {
             "parallel"
         } else {
             "sequential"
@@ -782,21 +765,15 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
     });
     request.runtime = match runtime_kind {
         "sequential" => {
-            if threads.is_some() || shards.is_some() || workers.is_some() {
+            if threads.is_some() || shards.is_some() {
                 return Err(error_response(
                     400,
-                    "threads/shards/workers only apply to runtime=parallel|process",
+                    "threads/shards only apply to runtime=parallel",
                 ));
             }
             RuntimeConfig::Sequential
         }
         "parallel" => {
-            if workers.is_some() {
-                return Err(error_response(
-                    400,
-                    "workers only applies to runtime=process",
-                ));
-            }
             let mut runtime = RuntimeConfig::parallel();
             if let Some(threads) = threads {
                 runtime = runtime.with_threads(threads);
@@ -806,23 +783,10 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
             }
             runtime
         }
-        "process" => {
-            if threads.is_some() || shards.is_some() {
-                return Err(error_response(
-                    400,
-                    "threads/shards only apply to runtime=parallel",
-                ));
-            }
-            let mut runtime = RuntimeConfig::process();
-            if let Some(workers) = workers {
-                runtime = runtime.with_workers(workers);
-            }
-            runtime
-        }
         other => {
             return Err(error_response(
                 400,
-                &format!("unknown runtime `{other}` (sequential|parallel|process)"),
+                &format!("unknown runtime `{other}` (sequential|parallel)"),
             ));
         }
     };
@@ -1253,10 +1217,6 @@ fn metrics_json(manager: &Arc<JobManager>, state: &ServerState) -> String {
                 .u64("injected_merge_failures", faults.injected_merge_failures)
                 .u64("injected_allocs", faults.injected_allocs)
                 .u64("worker_poisons", faults.worker_poisons)
-                .u64("worker_kills", faults.worker_kills)
-                .u64("workers_alive", ampc_runtime::faults::workers_alive())
-                .u64("worker_process_restarts", faults.worker_process_restarts)
-                .u64("rounds_replayed", faults.rounds_replayed)
                 .finish()
         })
         .raw(
@@ -1632,7 +1592,6 @@ fn metrics_prometheus(manager: &Arc<JobManager>, state: &ServerState) -> String 
         ("stall", faults.injected_stalls),
         ("merge_failure", faults.injected_merge_failures),
         ("alloc_pressure", faults.injected_allocs),
-        ("worker_kill", faults.worker_kills),
     ] {
         push_sample(
             &mut out,
@@ -1641,26 +1600,6 @@ fn metrics_prometheus(manager: &Arc<JobManager>, state: &ServerState) -> String 
             value as f64,
         );
     }
-    // The multi-process backend's supervision plane: live shard-worker
-    // children, crash respawns, and rounds replayed onto a fresh child.
-    gauge(
-        &mut out,
-        "ampc_workers_alive",
-        "Live ampc-shard-worker child processes across all process backends.",
-        ampc_runtime::faults::workers_alive() as f64,
-    );
-    counter(
-        &mut out,
-        "ampc_worker_process_restarts_total",
-        "Shard-worker child processes respawned after dying mid-round.",
-        faults.worker_process_restarts,
-    );
-    counter(
-        &mut out,
-        "ampc_rounds_replayed_total",
-        "Round inputs replayed onto a respawned shard-worker child.",
-        faults.rounds_replayed,
-    );
 
     push_histogram(
         &mut out,
@@ -1744,24 +1683,6 @@ fn push_histogram(out: &mut String, name: &str, help: &str, histogram: &LatencyH
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Whether the `ampc-shard-worker` binary (a workspace-root bin, not
-    /// built by a `-p ampc-service` test run) is available for
-    /// runtime=process jobs.
-    fn shard_worker_built() -> bool {
-        if std::env::var_os("AMPC_SHARD_WORKER").is_some() {
-            return true;
-        }
-        let Ok(exe) = std::env::current_exe() else {
-            return false;
-        };
-        let name = format!("ampc-shard-worker{}", std::env::consts::EXE_SUFFIX);
-        let found = [exe.parent(), exe.parent().and_then(std::path::Path::parent)]
-            .into_iter()
-            .flatten()
-            .any(|dir| dir.join(&name).is_file());
-        found
-    }
 
     fn boot() -> ServerHandle {
         Server::bind(
@@ -1902,9 +1823,6 @@ mod tests {
             ("ampc_jobs_retried_total", "counter"),
             ("ampc_rounds_retried_total", "counter"),
             ("ampc_faults_injected_total", "counter"),
-            ("ampc_workers_alive", "gauge"),
-            ("ampc_worker_process_restarts_total", "counter"),
-            ("ampc_rounds_replayed_total", "counter"),
             ("ampc_request_latency_microseconds", "histogram"),
             ("ampc_queue_wait_microseconds", "histogram"),
             ("ampc_job_execution_microseconds", "histogram"),
@@ -2076,23 +1994,6 @@ mod tests {
         assert_eq!(status, 200, "{response}");
         assert!(response.contains("\"status\":\"done\""), "{response}");
 
-        // The multi-process runtime serves jobs too (`workers=` alone
-        // implies it, like `threads=` implies parallel) — when the
-        // ampc-shard-worker binary is built; skip quietly when this crate's
-        // tests run without the workspace root's bins.
-        if shard_worker_built() {
-            let (status, response) = request(
-                addr,
-                "POST",
-                "/v1/color?algorithm=two-alpha-plus-one&alpha=1&workers=2&wait=1",
-                body,
-            );
-            assert_eq!(status, 200, "{response}");
-            assert!(response.contains("\"status\":\"done\""), "{response}");
-        } else {
-            eprintln!("skipping runtime=process leg: ampc-shard-worker not built");
-        }
-
         // Async path: 202 then poll.
         let (status, response) = request(addr, "POST", "/v1/color?alpha=1", body);
         assert_eq!(status, 202, "{response}");
@@ -2180,12 +2081,9 @@ mod tests {
             "/v1/color?policy=keep-max",
             "/v1/color?runtime=warp",
             "/v1/color?runtime=sequential&threads=4",
-            "/v1/color?runtime=sequential&workers=2",
-            "/v1/color?runtime=parallel&workers=2",
+            "/v1/color?runtime=process",
             "/v1/color?runtime=process&threads=2",
             "/v1/color?runtime=process&shards=8",
-            "/v1/color?workers=0",
-            "/v1/color?workers=1000",
             "/v1/color?epsilon=abc",
             "/v1/color?shards=1000000000",
             "/v1/color?threads=0",

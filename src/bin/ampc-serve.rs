@@ -30,8 +30,8 @@
 //! * `--drain-timeout-s=N` — graceful-shutdown budget (default 30). On
 //!   SIGTERM/SIGINT the server stops accepting submissions (new `POST
 //!   /v1/color` gets `503` + `Retry-After`), finishes the queued and
-//!   running jobs within the budget, reaps every job worker and
-//!   `ampc-shard-worker` child, and exits 0 (1 if the drain timed out).
+//!   running jobs within the budget, reaps every job worker, and exits 0
+//!   (1 if the drain timed out).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

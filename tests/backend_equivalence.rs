@@ -1,12 +1,9 @@
 //! The determinism contract of the `ampc-runtime` subsystem: for a fixed
-//! seed and `ConflictPolicy`, the sharded parallel backend **and** the
-//! multi-process backend (shard merges in `ampc-shard-worker` child OS
-//! processes) produce bit-identical stores, partitions and colorings to
-//! the sequential reference simulator — across every `Workload`, every
-//! policy, a matrix of thread/shard counts and worker-process counts
-//! {1, 2, 4} — and budget violations surface as the same errors. That
-//! includes runs where a worker child is SIGKILLed mid-computation and
-//! healed by respawn + round replay.
+//! seed and `ConflictPolicy`, the sharded parallel backend produces
+//! bit-identical stores, partitions and colorings to the sequential
+//! reference simulator — across every `Workload`, every policy and a
+//! matrix of thread/shard counts — and budget violations surface as the
+//! same errors.
 
 use ampc_coloring_repro::{Algorithm, RuntimeConfig, SparseColoring, Workload};
 use ampc_model::{AmpcConfig, ConflictPolicy, DataStore, Key, ModelError, Value};
@@ -51,24 +48,6 @@ fn parallel_matrix() -> Vec<RuntimeConfig> {
         // may grow between rounds without touching any result.
         RuntimeConfig::parallel().with_threads(4).with_shards(0),
     ]
-}
-
-/// The multi-process runtime: shard merges run in `ampc-shard-worker`
-/// child OS processes (the stage-1 distributed backend).
-fn process_matrix() -> Vec<RuntimeConfig> {
-    vec![
-        RuntimeConfig::process().with_workers(1),
-        RuntimeConfig::process().with_workers(2),
-        RuntimeConfig::process().with_workers(4),
-    ]
-}
-
-/// Every non-sequential runtime under test: the in-process thread/shard
-/// matrix plus the multi-process worker matrix.
-fn runtime_matrix() -> Vec<RuntimeConfig> {
-    let mut matrix = parallel_matrix();
-    matrix.extend(process_matrix());
-    matrix
 }
 
 /// The DDS image of a graph: one degree entry per node.
@@ -152,7 +131,7 @@ fn stores_are_bit_identical_across_workloads_and_policies() {
         for policy in ALL_POLICIES {
             let mut sequential = RuntimeConfig::Sequential.backend(config, store_of(&graph));
             let expected = run_program(sequential.as_mut(), machines, policy);
-            for runtime in runtime_matrix() {
+            for runtime in parallel_matrix() {
                 let mut parallel = runtime.backend(config, store_of(&graph));
                 let actual = run_program(parallel.as_mut(), machines, policy);
                 assert_eq!(
@@ -209,24 +188,6 @@ fn partitions_and_colorings_agree_on_every_workload() {
             parallel_partition.rounds,
             "workload {workload:?}"
         );
-        // The multi-process backend reproduces the same partition too.
-        let process_partition = ampc_beta_partition(
-            &graph,
-            &PartitionParams::new(beta)
-                .with_x(4)
-                .with_runtime(RuntimeConfig::process().with_workers(2)),
-        )
-        .expect("partition succeeds");
-        assert_eq!(
-            sequential_partition.partition, process_partition.partition,
-            "workload {workload:?}"
-        );
-        assert_eq!(sequential_partition.rounds, process_partition.rounds);
-        assert_eq!(sequential_partition.metrics, process_partition.metrics);
-        assert_eq!(
-            sequential_partition.remaining_per_round,
-            process_partition.remaining_per_round
-        );
 
         let color = |runtime: RuntimeConfig| {
             SparseColoring::new()
@@ -245,91 +206,6 @@ fn partitions_and_colorings_agree_on_every_workload() {
         assert_eq!(sequential.colors_used, parallel.colors_used);
         assert_eq!(sequential.total_rounds, parallel.total_rounds);
         assert!(sequential.coloring.is_proper(&graph));
-
-        for workers in [1usize, 2, 4] {
-            let process = color(RuntimeConfig::process().with_workers(workers));
-            assert_eq!(
-                sequential.coloring, process.coloring,
-                "workload {workload:?}, workers {workers}"
-            );
-            assert_eq!(sequential.colors_used, process.colors_used);
-            assert_eq!(sequential.total_rounds, process.total_rounds);
-            assert_eq!(sequential.metrics, process.metrics, "model-level only");
-        }
-    }
-}
-
-/// Crash tolerance is output-invisible: a shard-worker child SIGKILLed
-/// **mid-computation** (from inside a round body, after the previous
-/// round's merge committed and before this round's merge is dispatched) is
-/// respawned and the round replayed from retained input — and the final
-/// store is byte-identical to the undisturbed sequential reference.
-#[test]
-fn process_backend_heals_a_worker_killed_mid_computation() {
-    use ampc_runtime::ProcessBackend;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let workload = Workload::PowerLaw {
-        n: 400,
-        edges_per_node: 3,
-    };
-    let graph = workload.build(97);
-    let machines = graph.num_nodes();
-    let config = AmpcConfig::for_input_size(graph.num_nodes() + graph.num_edges(), 0.5);
-
-    for policy in [ConflictPolicy::KeepMin, ConflictPolicy::KeepFirst] {
-        let program = |backend: &mut dyn AmpcBackend, hook: &(dyn Fn(usize) + Sync)| {
-            backend
-                .round_carrying_forward(machines, policy, |machine, ctx| {
-                    let degree = ctx
-                        .read(Key::pair(0, machine as u64))?
-                        .map_or(0, |v| v.words()[0]);
-                    ctx.write(Key::pair(1, machine as u64), Value::single(degree * 3 + 1))
-                })
-                .expect("round 1 succeeds");
-            backend
-                .round(machines, policy, |machine, ctx| {
-                    hook(machine);
-                    if let Some(v) = ctx.read(Key::pair(1, machine as u64))? {
-                        ctx.write(
-                            Key::pair(2, (machine % 31) as u64),
-                            Value::single(v.words()[0]),
-                        )?;
-                    }
-                    Ok(())
-                })
-                .expect("the killed worker is healed, not surfaced");
-            backend.snapshot_store()
-        };
-
-        let mut sequential = RuntimeConfig::Sequential.backend(config, store_of(&graph));
-        let expected = program(sequential.as_mut(), &|_| {});
-
-        let mut backend = ProcessBackend::new(config, store_of(&graph), 2);
-        let pids_before = backend.worker_pids();
-        let victim = pids_before[1].to_string();
-        let killed = AtomicBool::new(false);
-        let hook = move |machine: usize| {
-            // SIGKILL worker 1 once, halfway through round 2's bodies: its
-            // round input has not been streamed yet, so the supervisor
-            // observes the corpse at dispatch and heals it by respawn +
-            // replay.
-            if machine == machines / 2 && !killed.swap(true, Ordering::SeqCst) {
-                let status = std::process::Command::new("kill")
-                    .args(["-9", &victim])
-                    .status()
-                    .expect("kill(1) is available");
-                assert!(status.success(), "kill -9 failed");
-            }
-        };
-        let backend_dyn: &mut dyn AmpcBackend = &mut backend;
-        let actual = program(backend_dyn, &hook);
-
-        assert_eq!(expected, actual, "policy {policy:?}");
-        assert_eq!(sequential.metrics(), backend.metrics(), "policy {policy:?}");
-        let pids_after = backend.worker_pids();
-        assert_ne!(pids_before[1], pids_after[1], "worker 1 was respawned");
-        assert_eq!(pids_before[0], pids_after[0], "worker 0 was untouched");
     }
 }
 
@@ -939,7 +815,7 @@ fn budget_violation_errors_are_identical() {
         })
     };
 
-    for runtime in runtime_matrix() {
+    for runtime in parallel_matrix() {
         let mut seq = RuntimeConfig::Sequential.backend(config, initial());
         let mut par = runtime.backend(config, initial());
         assert_eq!(
