@@ -87,8 +87,8 @@ impl_word_tuple!(Value);
 
 /// Read access to a keyed store.
 ///
-/// Abstracts over the plain [`DataStore`] and partitioned implementations
-/// (such as the sharded store of the `ampc-runtime` crate) so that a
+/// Abstracts over the plain [`DataStore`] and the dense `node → layer`
+/// array of the `ampc-runtime` round engine, so that a
 /// [`crate::MachineContext`] can serve reads from either. Implementations
 /// must be safe to read from many machines concurrently (`Sync`), which is
 /// what makes lock-free parallel round execution possible.

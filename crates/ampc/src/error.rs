@@ -49,7 +49,7 @@ pub enum ModelError {
     /// always retried before this surfaces; a real panic is reported with
     /// whatever payload detail could be extracted.
     RoundPanicked {
-        /// Round (0-based, per backend) that kept panicking.
+        /// Round (0-based, per engine) that kept panicking.
         round: usize,
         /// Best-effort panic payload description.
         detail: String,
@@ -57,7 +57,7 @@ pub enum ModelError {
     /// A round overran its configured wall-clock deadline on every
     /// permitted attempt.
     RoundDeadlineExceeded {
-        /// Round (0-based, per backend) that kept overrunning.
+        /// Round (0-based, per engine) that kept overrunning.
         round: usize,
         /// The deadline that was in force, in milliseconds.
         deadline_ms: u64,

@@ -35,9 +35,7 @@ impl ConflictPolicy {
     ///
     /// `existing` must be the value written by the earlier machine (in
     /// increasing machine-id / write order), which is what makes
-    /// [`ConflictPolicy::KeepFirst`] deterministic. Backend implementations
-    /// (the sequential executor here and the parallel runtime) share this
-    /// single merge rule, so their stores stay bit-identical.
+    /// [`ConflictPolicy::KeepFirst`] deterministic.
     ///
     /// # Errors
     ///
@@ -92,15 +90,15 @@ impl std::fmt::Debug for MachineContext<'_> {
 impl<'a> MachineContext<'a> {
     /// Creates the access context one machine gets for one round.
     ///
-    /// Writes are buffered in `writes`, which is cleared first: a backend
+    /// Writes are buffered in `writes`, which is cleared first: an executor
     /// passes the same buffer to every machine it drives, so buffering
     /// allocates only while the buffer grows to the largest machine's
     /// output. After the body ran, the buffer holds the machine's writes in
     /// write order.
     ///
-    /// Public so that alternative [`crate::AmpcExecutor`]-like backends (the
-    /// parallel runtime crate) can drive machines with exactly the same
-    /// budget enforcement as the sequential executor; algorithm code should
+    /// Public so that the `ampc-runtime` round engine can drive machines
+    /// with exactly the same budget enforcement as the sequential executor,
+    /// reading from its own store (any [`StoreRead`]); algorithm code should
     /// never construct contexts itself.
     pub fn for_round(
         machine: usize,
@@ -146,9 +144,7 @@ impl<'a> MachineContext<'a> {
 
     /// Records `reads` queries issued through a side channel (e.g. an
     /// [`crate::LcaOracle`] exploring the input graph) so they appear in the
-    /// round metrics, without enforcing the budget — mirroring the
-    /// accounting-only role of [`RoundReport::from_measurements`] that
-    /// algorithm drivers used before the backend abstraction existed.
+    /// round metrics, without enforcing the budget.
     pub fn note_reads(&mut self, reads: usize) {
         self.reads_used += reads;
     }
@@ -232,13 +228,6 @@ impl AmpcExecutor {
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &AmpcMetrics {
         &self.metrics
-    }
-
-    /// Mutable metrics access, for backends that amend the executor's
-    /// records with host measurements taken outside the executor (see
-    /// [`AmpcMetrics::last_runtime_mut`]).
-    pub fn metrics_mut(&mut self) -> &mut AmpcMetrics {
-        &mut self.metrics
     }
 
     /// Consumes the executor and returns the final store and metrics.

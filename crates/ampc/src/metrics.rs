@@ -73,26 +73,20 @@ impl RoundReport {
     }
 }
 
-/// Wall-clock and sharding measurements for one executed round.
+/// Wall-clock and scheduling measurements for one executed round.
 ///
 /// Unlike [`RoundReport`] these are *measurements of the simulation itself*
-/// (how long the round took on the host, how reads and writes spread over
-/// store shards, how many conflicting writes were merged), not model-level
-/// complexity quantities — so they are excluded from [`AmpcMetrics`]
-/// equality: two backends that produce bit-identical stores report equal
-/// metrics even though their wall clocks differ.
+/// (how long the round took on the host, how the worker pool was used, how
+/// many conflicting writes were merged), not model-level complexity
+/// quantities — so they are excluded from [`AmpcMetrics`] equality: two
+/// runs that produce bit-identical stores report equal metrics even though
+/// their wall clocks differ.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRuntimeStats {
     /// Host wall-clock time of the round, in nanoseconds.
     pub wall_clock_nanos: u64,
     /// Number of duplicate-key writes merged by the `ConflictPolicy`.
     pub conflict_merges: usize,
-    /// Reads served per store shard during the round (empty for the
-    /// unsharded sequential executor).
-    pub shard_reads: Vec<u64>,
-    /// Writes routed to each store shard during the round (empty for the
-    /// unsharded sequential executor).
-    pub shard_writes: Vec<u64>,
     /// Tasks each persistent pool worker completed while this round ran
     /// (empty for the sequential executor). When several executions share
     /// one pool the attribution is approximate — these are measurements of
@@ -109,11 +103,6 @@ pub struct RoundRuntimeStats {
     /// Pool tasks that overflowed a full worker deque into the shared
     /// injector while this round ran (0 for the sequential executor).
     pub pool_overflows: u64,
-    /// The shard count chosen by the auto-tuner for this round, when the
-    /// backend runs with `shards = 0` (auto); 0 when the shard count was
-    /// fixed by configuration. Logged so operators can see what the
-    /// imbalance-driven re-sharding settled on.
-    pub auto_shards: usize,
     /// Data-parallel tasks executed by the intra-layer round primitives
     /// (`par_node_map` / `par_color_classes` / `par_reduce`) while this
     /// logical round ran. Like the pool counters these are measurements of
@@ -155,7 +144,7 @@ pub struct RoundRuntimeStats {
 
 impl RoundRuntimeStats {
     /// Element-wise combination of two rounds' stats (used when an algorithm
-    /// driver folds several backend rounds into one logical round).
+    /// driver folds several engine rounds into one logical round).
     pub fn combine(&self, other: &RoundRuntimeStats) -> RoundRuntimeStats {
         fn add(a: &[u64], b: &[u64]) -> Vec<u64> {
             let mut out = vec![0u64; a.len().max(b.len())];
@@ -170,19 +159,10 @@ impl RoundRuntimeStats {
         RoundRuntimeStats {
             wall_clock_nanos: self.wall_clock_nanos + other.wall_clock_nanos,
             conflict_merges: self.conflict_merges + other.conflict_merges,
-            shard_reads: add(&self.shard_reads, &other.shard_reads),
-            shard_writes: add(&self.shard_writes, &other.shard_writes),
             pool_tasks_per_worker: add(&self.pool_tasks_per_worker, &other.pool_tasks_per_worker),
             pool_idle_nanos: self.pool_idle_nanos + other.pool_idle_nanos,
             pool_steals: self.pool_steals + other.pool_steals,
             pool_overflows: self.pool_overflows + other.pool_overflows,
-            // The chosen shard count is a configuration-like value, not a
-            // sum: folding rounds keeps the latest non-zero choice.
-            auto_shards: if other.auto_shards != 0 {
-                other.auto_shards
-            } else {
-                self.auto_shards
-            },
             intra_tasks: self.intra_tasks + other.intra_tasks,
             intra_wall_nanos: self.intra_wall_nanos + other.intra_wall_nanos,
             scratch_reuses: self.scratch_reuses + other.scratch_reuses,
@@ -209,7 +189,7 @@ impl RoundRuntimeStats {
 /// Aggregated metrics over a full AMPC execution.
 ///
 /// Equality compares the model-level [`RoundReport`]s only; the
-/// [`RoundRuntimeStats`] are measurement data (wall clock, shard load) that
+/// [`RoundRuntimeStats`] are measurement data (wall clock, pool use) that
 /// legitimately differ between two otherwise identical executions.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AmpcMetrics {
@@ -284,15 +264,6 @@ impl AmpcMetrics {
         self.runtime.push(stats);
     }
 
-    /// Mutable access to the most recently recorded runtime stats, for
-    /// executors that amend a round's record with measurements gathered
-    /// around (rather than inside) the round — e.g. the runtime backend
-    /// folding hardware-counter deltas into the sequential executor's
-    /// wall-clock record.
-    pub fn last_runtime_mut(&mut self) -> Option<&mut RoundRuntimeStats> {
-        self.runtime.last_mut()
-    }
-
     /// Appends another execution's metrics (used when an algorithm chains
     /// several executors, e.g. the guessing scheme of Lemma 5.1).
     pub fn absorb(&mut self, other: &AmpcMetrics) {
@@ -313,17 +284,6 @@ impl AmpcMetrics {
 
     pub(crate) fn push_round(&mut self, report: RoundReport) {
         self.rounds.push(report);
-    }
-
-    /// Discards the most recent round report (and its runtime stats, when
-    /// one was recorded for it), restoring the metrics to their pre-round
-    /// state. Used by the runtime's per-round deadline enforcement to roll
-    /// back an attempt whose overrun was only detected after it committed.
-    pub fn discard_last_round(&mut self) {
-        self.rounds.pop();
-        while self.runtime.len() > self.rounds.len() {
-            self.runtime.pop();
-        }
     }
 }
 

@@ -1,96 +1,19 @@
-//! Benches for the sharded parallel runtime: sequential vs parallel round
-//! execution on large workloads, across a shards × threads matrix.
+//! Benches for the parallel runtime: the AMPC β-partition on the round
+//! engine across thread counts, and the intra-layer simulators on the
+//! round primitives.
 //!
 //! Run with `cargo bench -p ampc-coloring-bench --bench runtime_benches`
 //! (set `AMPC_BENCH_SAMPLES=3` for a smoke run). Speedups require a
-//! multi-core host; on a single core the parallel backend degrades
-//! gracefully to near-sequential cost plus scheduling overhead.
+//! multi-core host; on a single core the parallel runs degrade gracefully
+//! to near-sequential cost plus scheduling overhead.
 
 use ampc_coloring_bench::Workload;
-use ampc_model::{AmpcConfig, ConflictPolicy, DataStore, Key, Value};
-use ampc_runtime::{AmpcBackend, RoundPrimitives, RuntimeConfig};
+use ampc_runtime::{RoundPrimitives, RuntimeConfig};
 use arbo_coloring::{arb_linial_coloring_with_runtime, kw_color_reduction_with_runtime};
 use beta_partition::{ampc_beta_partition, PartitionParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparse_graph::{Coloring, CsrGraph, Orientation};
+use sparse_graph::{Coloring, Orientation};
 use std::hint::black_box;
-
-/// A store with one entry per node plus one per directed edge — the DDS
-/// image of a graph, the workload the round scheduler exists for.
-fn graph_store(graph: &CsrGraph) -> DataStore {
-    let mut store = DataStore::new();
-    for v in graph.nodes() {
-        store.insert(
-            Key::pair(0, v as u64),
-            Value::single(graph.degree(v) as u64),
-        );
-    }
-    store
-}
-
-/// Three adaptive rounds over the store: every machine reads its own entry,
-/// chases one level of indirection and writes back derived values with
-/// colliding keys (exercising the conflict merge).
-fn run_rounds(backend: &mut dyn AmpcBackend, machines: usize) {
-    for _ in 0..3 {
-        backend
-            .round_carrying_forward(machines, ConflictPolicy::KeepMin, |machine, ctx| {
-                let own = ctx
-                    .read(Key::pair(0, machine as u64))?
-                    .map_or(0, |v| v.words()[0]);
-                let neighbor = ctx
-                    .read(Key::pair(0, (machine as u64 + own) % machines as u64))?
-                    .map_or(0, |v| v.words()[0]);
-                ctx.write(
-                    Key::pair(0, machine as u64),
-                    Value::single(own.wrapping_add(neighbor) % 1024),
-                )?;
-                ctx.write(Key::pair(1, (machine % 97) as u64), Value::single(own))
-            })
-            .expect("budgets are generous");
-    }
-}
-
-fn bench_round_execution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime_rounds");
-    group.sample_size(10);
-    let workload = Workload::ForestUnion { n: 100_000, k: 2 };
-    let graph = workload.build(51);
-    let machines = graph.num_nodes();
-    let config = AmpcConfig::for_input_size(graph.num_nodes() + graph.num_edges(), 0.5);
-    let store = graph_store(&graph);
-
-    group.bench_with_input(
-        BenchmarkId::new("sequential", machines),
-        &store,
-        |b, store| {
-            b.iter(|| {
-                let mut backend = RuntimeConfig::Sequential.backend(config, store.clone());
-                run_rounds(backend.as_mut(), machines);
-                black_box(backend.store_len())
-            });
-        },
-    );
-    for threads in [2usize, 4, 8] {
-        for shards in [8usize, 32] {
-            let runtime = RuntimeConfig::parallel()
-                .with_threads(threads)
-                .with_shards(shards);
-            group.bench_with_input(
-                BenchmarkId::new("parallel", format!("t{threads}_s{shards}")),
-                &store,
-                |b, store| {
-                    b.iter(|| {
-                        let mut backend = runtime.backend(config, store.clone());
-                        run_rounds(backend.as_mut(), machines);
-                        black_box(backend.store_len())
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
 
 fn bench_partition_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("ampc_beta_partition_runtime");
@@ -110,16 +33,12 @@ fn bench_partition_backends(c: &mut Criterion) {
     ] {
         let graph = workload.build(52);
         let beta = 2 * workload.alpha_bound() + 2;
-        let sequential = PartitionParams::new(beta).with_x(4);
-        group.bench_with_input(BenchmarkId::new(label, "sequential"), &graph, |b, graph| {
-            b.iter(|| black_box(ampc_beta_partition(graph, &sequential).unwrap()));
-        });
-        for threads in [4usize, 8] {
+        for threads in [1usize, 2, 4] {
             let params = PartitionParams::new(beta)
                 .with_x(4)
                 .with_runtime(RuntimeConfig::parallel().with_threads(threads));
             group.bench_with_input(
-                BenchmarkId::new(label, format!("parallel_t{threads}")),
+                BenchmarkId::new(label, format!("t{threads}")),
                 &graph,
                 |b, graph| {
                     b.iter(|| black_box(ampc_beta_partition(graph, &params).unwrap()));
@@ -244,7 +163,6 @@ fn bench_skewed_scheduler(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_round_execution,
     bench_partition_backends,
     bench_intra_layer_simulators,
     bench_skewed_scheduler

@@ -9,8 +9,8 @@
 //! cargo run -p ampc-coloring-bench --bin experiments --release -- --runtime=parallel
 //! ```
 //!
-//! `--runtime=parallel` runs every experiment on the sharded parallel
-//! backend (`--runtime=sequential` is the default); the tables are
+//! `--runtime=parallel` runs every experiment on the parallel runtime
+//! (`--runtime=sequential` is the default); the tables are
 //! bit-identical either way, only the wall clock changes.
 
 use std::time::Instant;

@@ -26,11 +26,14 @@
 //!   is reported. The speedup column of a relabeled row is therefore the
 //!   pure memory-layout win.
 //! * **partition** — the AMPC β-partition (x = 4) on forest-union (β = 5)
-//!   and power-law m = 8 (β = 23) graphs at threads 1 (sequential
-//!   backend) and 2 (parallel backend), checked identical in partition and
-//!   model metrics. Its `allocs_per_round` counts allocations per AMPC
-//!   round of `n` machines, so the alloc gate holds every machine of a
-//!   partition round to allocation-free execution.
+//!   and power-law m = 8 (β = 23) graphs on the round engine at threads 1
+//!   and 2, checked identical in partition and model metrics. Its
+//!   `allocs_per_round` counts allocations per AMPC round of `n` machines,
+//!   so the alloc gate holds every machine of a partition round to
+//!   allocation-free execution. Right before it, a fixed pure-ALU loop is
+//!   timed on one thread and on two; the throughput ratio is the
+//!   `two_thread_calibration` meta, the evidence that the host really
+//!   gave this process two cores while the threads = 2 rows ran.
 //!
 //! ```text
 //! # smoke: small graphs, assert bit-identity, exit non-zero on mismatch
@@ -57,6 +60,7 @@
 //! enforces. Without the feature the column reads 0 and the gate refuses
 //! to run (so a mis-built CI step fails loudly instead of passing vacuously).
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -128,6 +132,43 @@ fn best_of<R>(reps: usize, mut run: impl FnMut() -> R) -> (Duration, u64, PerfCo
         }
     }
     best.expect("at least one rep ran")
+}
+
+/// Iterations of the calibration loop (about 30 ms on one core).
+const CALIBRATION_ITERATIONS: u64 = 20_000_000;
+
+/// Throughput of two threads over one thread on a fixed pure-ALU loop,
+/// best of three timings each: about 2.0 when two cores are free for this
+/// process, about 1.0 when its threads share one.
+fn two_thread_calibration() -> f64 {
+    fn spin() -> u64 {
+        let mut x = black_box(0x9e37_79b9_7f4a_7c15_u64);
+        for i in 0..CALIBRATION_ITERATIONS {
+            x = x.rotate_left(7) ^ x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(i);
+        }
+        black_box(x)
+    }
+    let best = |run: &dyn Fn()| {
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                run();
+                started.elapsed()
+            })
+            .min()
+            .expect("three timings")
+    };
+    let one = best(&|| {
+        spin();
+    });
+    let two = best(&|| {
+        std::thread::scope(|scope| {
+            let other = scope.spawn(spin);
+            spin();
+            other.join().expect("the calibration thread finished");
+        });
+    });
+    2.0 * one.as_secs_f64() / two.as_secs_f64()
 }
 
 struct Cell {
@@ -227,12 +268,15 @@ fn main() {
         "intra-layer seq vs parallel matrix",
         "wall clock of the LOCAL simulators (whole graph = one layer) on the round \
          primitives, per thread count, scheduler and relabel policy; `weighted` = \
-         cost-weighted chunking + work-stealing deques, `contiguous` = the PR 3 \
+         cost-weighted chunking + work-stealing deques, `contiguous` = the original \
          equal-width grid; relabel != off rows run on a cache-aware permuted graph and \
          are verified to un-permute to the relabel=off reference; parallel runs \
          verified bit-identical to threads=1; allocs_per_round = heap allocations per \
          simulated LOCAL round, or per AMPC round of n machines for the partition rows \
-         (0 = built without the alloc-count feature); \
+         (0 = built without the alloc-count feature); two_thread_calibration = two-thread \
+         over one-thread throughput of a pure-ALU loop timed right before the partition \
+         rows: a partition row measured while the calibration reads under 1.8x is not \
+         scaling evidence; \
          cycles/instructions/ipc/cache_miss_pct/branch_misses come from perf_event_open \
          sampling of the best rep and read 0/'-' when the `perf_available` meta is false; \
          simd_path is the per-process GF(2) kernel dispatch tier (avx2/sse2/scalar), a \
@@ -574,12 +618,18 @@ fn main() {
     }
 
     // Section 4 — partition: the AMPC β-partition of Theorem 1.2 (x = 4),
-    // the phase that dominates a coloring job. threads = 1 is the
-    // sequential backend the service runs by default, threads = 2 the
-    // sharded parallel backend; both must produce the identical partition
-    // and model metrics. A round here is one AMPC round of `n` machines,
-    // so `allocs_per_round` gates per-machine allocation in the coin game,
-    // the machine contexts and the round merge.
+    // the phase that dominates a coloring job. threads = 1 runs every
+    // round of the round engine inline (the service's default sequential
+    // runtime), threads = 2 splits each round over the worker pool; both
+    // must produce the identical partition and model metrics. A round here
+    // is one AMPC round of `n` machines, so `allocs_per_round` gates
+    // per-machine allocation in the coin game, the machine contexts and
+    // the round merge. The calibration right before it says whether the
+    // host gave the threads = 2 rows two cores.
+    table.push_meta(
+        "two_thread_calibration",
+        format!("{:.2}", two_thread_calibration()),
+    );
     for (workload, beta) in [
         (Workload::ForestUnion { n, k: 2 }, 5usize),
         (

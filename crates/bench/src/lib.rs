@@ -27,25 +27,18 @@ use ampc_runtime::RuntimeConfig;
 /// Resolves a backend selection for the experiment harness: `kind` is an
 /// explicit choice (`"parallel"` / `"sequential"`, e.g. from a CLI flag),
 /// falling back to the `AMPC_RUNTIME` environment variable. In parallel
-/// mode, `AMPC_THREADS` / `AMPC_SHARDS` pin the worker and shard counts.
-/// Results are bit-identical either way — only the wall clock changes.
+/// mode, `AMPC_THREADS` pins the worker count. Results are bit-identical
+/// either way — only the wall clock changes.
 pub fn resolve_runtime(kind: Option<&str>) -> RuntimeConfig {
-    let parse = |name: &str| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    };
     let env = std::env::var("AMPC_RUNTIME").ok();
     match kind.or(env.as_deref()) {
         Some("parallel") => {
-            let mut runtime = RuntimeConfig::parallel();
-            if let Some(threads) = parse("AMPC_THREADS") {
-                runtime = runtime.with_threads(threads);
-            }
-            if let Some(shards) = parse("AMPC_SHARDS") {
-                runtime = runtime.with_shards(shards);
-            }
-            runtime
+            let threads = std::env::var("AMPC_THREADS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok());
+            threads.map_or_else(RuntimeConfig::parallel, |threads| {
+                RuntimeConfig::parallel().with_threads(threads)
+            })
         }
         Some("sequential") | None => RuntimeConfig::Sequential,
         Some(other) => {
@@ -54,7 +47,7 @@ pub fn resolve_runtime(kind: Option<&str>) -> RuntimeConfig {
             // comparisons.
             eprintln!(
                 "warning: unknown runtime `{other}` (expected `sequential` or `parallel`); \
-                 using the sequential backend"
+                 using the sequential runtime"
             );
             RuntimeConfig::Sequential
         }

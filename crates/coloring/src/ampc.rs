@@ -135,9 +135,9 @@ pub struct AmpcColoringParams {
     pub partition_super_iterations: Option<usize>,
     /// Round limit for the partition phase.
     pub max_partition_rounds: usize,
-    /// Which executor backend runs the AMPC rounds (and how many worker
-    /// threads the per-layer coloring phase may use). Does not affect the
-    /// result: backends are bit-identical for a fixed input.
+    /// How many worker threads the AMPC rounds and the per-layer coloring
+    /// phase may use. Does not affect the result: every thread count is
+    /// bit-identical for a fixed input.
     pub runtime: RuntimeConfig,
 }
 
@@ -167,7 +167,7 @@ impl AmpcColoringParams {
         self
     }
 
-    /// Selects the executor backend for the AMPC rounds.
+    /// Selects the thread count for the AMPC rounds and the coloring phase.
     pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
         self
@@ -415,7 +415,7 @@ pub fn color_two_alpha_plus_one(
 }
 
 /// [`color_two_alpha_plus_one`] with an optional span recorder attached:
-/// the partition backend, the per-layer simulators (Arb-Linial rounds, KW
+/// the partition's round engine, the per-layer simulators (Arb-Linial rounds, KW
 /// sweeps) and the recoloring waves all emit spans into `trace`, tagged
 /// with layer ids and counters. Tracing is measurement-only — the coloring
 /// (and the model-level metrics) are bit-identical with and without it.

@@ -209,7 +209,7 @@ pub struct ColorRequest {
     pub delta: f64,
     /// Round limit for the partition phase (must be ≥ 1).
     pub max_partition_rounds: usize,
-    /// Executor backend selection.
+    /// Thread-count selection.
     pub runtime: RuntimeConfig,
 }
 
@@ -301,10 +301,10 @@ impl SparseColoring {
         self
     }
 
-    /// Selects the executor backend for the AMPC rounds — the sequential
-    /// reference simulator (default) or the sharded parallel runtime
-    /// ([`RuntimeConfig::parallel`]). Backends are bit-identical for a
-    /// fixed input, so this only affects wall-clock time.
+    /// Selects how many threads run the AMPC rounds and the coloring
+    /// phase — one (the default) or the parallel runtime
+    /// ([`RuntimeConfig::parallel`]). Every thread count is bit-identical
+    /// for a fixed input, so this only affects wall-clock time.
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
         self
@@ -384,7 +384,7 @@ impl SparseColoring {
     }
 
     /// [`SparseColoring::color_request`] with an optional [`TraceContext`]
-    /// attached: every AMPC round, LOCAL-simulation phase and backend
+    /// attached: every AMPC round, LOCAL-simulation phase and round
     /// merge records a span into `trace` while the run executes. Passing
     /// `None` is exactly `color_request` — no clock reads, no buffers.
     ///

@@ -15,8 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ampc_model::{
-    AmpcConfig, AmpcMetrics, ConflictPolicy, DataStore, Key, LcaOracle, ModelError, RoundReport,
-    RoundRuntimeStats, Value,
+    AmpcConfig, AmpcMetrics, Key, LcaOracle, ModelError, RoundReport, RoundRuntimeStats, Value,
 };
 use ampc_runtime::trace::{span_on, TraceContext};
 use ampc_runtime::{RuntimeConfig, ScratchPool};
@@ -100,9 +99,8 @@ pub struct PartitionParams {
     /// per round — the algorithm used in the large-arboricity regime
     /// (`α ≥ n^{Ω(δ²)}`) of Theorem 1.2.
     pub use_lca: bool,
-    /// Which executor backend runs the AMPC rounds (sequential reference
-    /// simulator or the sharded parallel runtime). Does not affect the
-    /// result: backends are bit-identical for a fixed input.
+    /// How many threads run the AMPC rounds. Does not affect the result:
+    /// every thread count computes the same partition and metrics.
     pub runtime: RuntimeConfig,
 }
 
@@ -158,7 +156,7 @@ impl PartitionParams {
         self
     }
 
-    /// Selects the executor backend for the AMPC rounds.
+    /// Selects the thread count for the AMPC rounds.
     pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
         self
@@ -214,8 +212,8 @@ impl AmpcPartitionResult {
 /// coin game explores at most `x · super_iterations + 1` nodes) — the
 /// "scaling the constant in front of `N^δ`" the paper's algorithms rely on
 /// (Lemma 5.1). Read accounting for the LCA goes through
-/// [`ampc_model::MachineContext::note_reads`], mirroring the
-/// measurement-only role reads had before the backend abstraction.
+/// [`ampc_model::MachineContext::note_reads`], which counts the oracle's
+/// queries without enforcing the read budget.
 fn partition_round_config(graph: &CsrGraph, params: &PartitionParams) -> AmpcConfig {
     let input_size = graph.num_nodes() + graph.num_edges();
     let x = params.effective_x(graph.num_nodes());
@@ -230,7 +228,7 @@ fn partition_round_config(graph: &CsrGraph, params: &PartitionParams) -> AmpcCon
 }
 
 /// Folds the reports of an LCA attempt and its peeling fallback (run as two
-/// backend rounds) into the one logical AMPC round they constitute.
+/// engine rounds) into the one logical AMPC round they constitute.
 fn combine_reports(lca: &RoundReport, peel: &RoundReport) -> RoundReport {
     RoundReport::from_measurements(
         lca.round,
@@ -243,8 +241,8 @@ fn combine_reports(lca: &RoundReport, peel: &RoundReport) -> RoundReport {
     )
 }
 
-/// Copies the backend's per-round runtime measurements into the result
-/// metrics, folding them per logical round: `spans[i]` backend rounds
+/// Copies the engine's per-round runtime measurements into the result
+/// metrics, folding them per logical round: `spans[i]` engine rounds
 /// contributed to logical round `i` (2 when an LCA attempt fell through to
 /// peeling), so `runtime_stats()[i]` describes `rounds()[i]`.
 fn absorb_runtime_stats(metrics: &mut AmpcMetrics, stats: &[RoundRuntimeStats], spans: &[usize]) {
@@ -259,7 +257,7 @@ fn absorb_runtime_stats(metrics: &mut AmpcMetrics, stats: &[RoundRuntimeStats], 
     debug_assert_eq!(
         next,
         stats.len(),
-        "every backend round belongs to a logical round"
+        "every engine round belongs to a logical round"
     );
 }
 
@@ -295,7 +293,7 @@ pub fn ampc_beta_partition(
 }
 
 /// [`ampc_beta_partition`] with an optional span recorder attached: the
-/// backend emits round/merge/retune spans into `trace` and the driver adds
+/// engine emits round/execute/merge spans into `trace` and the driver adds
 /// one `partition.round` span per logical round. Tracing is
 /// measurement-only — the partition (and the model-level metrics) are
 /// bit-identical with and without it.
@@ -318,17 +316,18 @@ pub fn ampc_beta_partition_traced(
     let mut max_queries_per_node = 0usize;
     let mut peeling_rounds = 0usize;
     let mut rounds = 0usize;
-    // Backend rounds per logical round (2 when LCA fell through to peeling).
+    // Engine rounds per logical round (2 when LCA fell through to peeling).
     let mut round_spans: Vec<usize> = Vec::new();
 
-    // One backend drives every round: the machines of a round (one per
-    // still-unlayered node) write their LCA proofs into the next data store
-    // and the min-merge of Lemma 4.10 is exactly `ConflictPolicy::KeepMin`.
-    let mut backend = params
+    // One engine drives every round: the machines of a round (one per
+    // still-unlayered node) write their LCA proofs into the next data store,
+    // which keeps the minimum layer per node — the merge of Lemma 4.10.
+    let mut engine = params
         .runtime
-        .backend(partition_round_config(graph, params), DataStore::new());
-    backend.set_trace(trace.clone());
-    let backend = backend.as_mut();
+        .engine(partition_round_config(graph, params))
+        .with_trace(trace.clone());
+    // One game scratch per worker thread, warm across rounds.
+    let scratch = ScratchPool::<CoinGameScratch>::new();
 
     while !remaining.is_empty() {
         if rounds >= params.max_rounds {
@@ -352,33 +351,25 @@ pub fn ampc_beta_partition_traced(
         // Try the LCA-based round first (unless disabled): machine `v` runs
         // the sublinear LCA of Remark 4.8 and writes its proof partition
         // (one `(node) -> layer` entry per explored node) into the next
-        // store; KeepMin merges all proofs into a globally consistent
+        // store; the min-merge folds all proofs into a globally consistent
         // partial β-partition (Lemma 4.10).
         let lca_report = if params.use_lca {
             let config = params.coin_game_config(sub_n);
-            // One game scratch per worker thread. The scratch borrows the
-            // adjacency lists of this round's graph, so each round owns
-            // its pool.
-            let scratch = ScratchPool::<CoinGameScratch<'_>>::new();
-            Some(
-                backend.round(sub_n, ConflictPolicy::KeepMin, |machine, ctx| {
-                    // A fresh oracle view per machine: queries are counted
-                    // per machine, exactly the per-node accounting of
-                    // Lemma 4.7.
-                    let oracle = LcaOracle::new(sub);
-                    let summary = partial_partition_lca_with(
-                        &oracle,
-                        machine,
-                        &config,
-                        &mut scratch.lease(),
-                        |node, layer| {
-                            ctx.write(Key::single(node as u64), Value::single(layer as u64))
-                        },
-                    )?;
-                    ctx.note_reads(summary.queries);
-                    Ok(())
-                })?,
-            )
+            Some(engine.round(sub_n, |machine, ctx| {
+                // A fresh oracle view per machine: queries are counted
+                // per machine, exactly the per-node accounting of
+                // Lemma 4.7.
+                let oracle = LcaOracle::new(sub);
+                let summary = partial_partition_lca_with(
+                    &oracle,
+                    machine,
+                    &config,
+                    &mut scratch.lease(),
+                    |node, layer| ctx.write(Key::single(node as u64), Value::single(layer as u64)),
+                )?;
+                ctx.note_reads(summary.queries);
+                Ok(())
+            })?)
         } else {
             None
         };
@@ -387,9 +378,9 @@ pub fn ampc_beta_partition_traced(
         // Barenboim–Elkin peeling layer — every node of residual degree <= β
         // writes layer 0 for itself. A round's store holds exactly the
         // nodes it layered, so an empty store means the LCA layered none.
-        let peel_report = if lca_report.is_none() || backend.store_len() == 0 {
+        let peel_report = if lca_report.is_none() || engine.layered() == 0 {
             peeling_rounds += 1;
-            let mut report = backend.round(sub_n, ConflictPolicy::KeepMin, |machine, ctx| {
+            let mut report = engine.round(sub_n, |machine, ctx| {
                 ctx.note_reads(1);
                 if sub.degree(machine) <= params.beta {
                     ctx.write(Key::single(machine as u64), Value::single(0))?;
@@ -404,7 +395,7 @@ pub fn ampc_beta_partition_traced(
             None
         };
 
-        if backend.store_len() == 0 {
+        if engine.layered() == 0 {
             return Err(PartitionError::Stalled {
                 remaining: remaining.len(),
             });
@@ -416,9 +407,9 @@ pub fn ampc_beta_partition_traced(
         still_remaining.clear();
         for v in sub.nodes() {
             let original = subgraph.as_ref().map_or(v, |s| s.to_original(v));
-            match backend.get(Key::single(v as u64)) {
-                Some(value) => {
-                    let layer = value.words()[0] as usize;
+            match engine.layer(v) {
+                Some(layer) => {
+                    let layer = layer as usize;
                     round_max_layer = round_max_layer.max(layer);
                     partition.set_layer(original, Layer::Finite(offset + layer));
                 }
@@ -428,7 +419,7 @@ pub fn ampc_beta_partition_traced(
         offset += round_max_layer + 1;
 
         // One logical AMPC round per loop iteration: when the LCA attempt
-        // fell through to peeling, both backend rounds fold into one report.
+        // fell through to peeling, both engine rounds fold into one report.
         let mut report = match (lca_report, peel_report) {
             (Some(lca), Some(peel)) => {
                 round_spans.push(2);
@@ -438,12 +429,12 @@ pub fn ampc_beta_partition_traced(
                 round_spans.push(1);
                 report
             }
-            (None, None) => unreachable!("at least one backend round ran"),
+            (None, None) => unreachable!("at least one engine round ran"),
         };
         // Model-level space accounting as in the original driver: the
         // round's DDS conceptually holds the residual graph plus one layer
         // entry per remaining node (the adjacency is served through the
-        // LcaOracle side channel, so the backend store only contains the
+        // LcaOracle side channel, so the engine store only contains the
         // written layer entries).
         report.store_words = 2 * sub.num_edges() + sub_n;
         max_queries_per_node = max_queries_per_node.max(report.max_reads);
@@ -452,13 +443,9 @@ pub fn ampc_beta_partition_traced(
         std::mem::swap(&mut remaining, &mut still_remaining);
     }
 
-    // Surface the backend's runtime measurements (wall clock, shard load,
+    // Surface the engine's runtime measurements (wall clock, pool use,
     // conflict merges) through the result metrics.
-    absorb_runtime_stats(
-        &mut metrics,
-        backend.metrics().runtime_stats(),
-        &round_spans,
-    );
+    absorb_runtime_stats(&mut metrics, engine.metrics().runtime_stats(), &round_spans);
 
     debug_assert!(partition.validate(graph).is_ok());
 

@@ -22,9 +22,11 @@
 //! whole state in a reusable [`CoinGameScratch`]. Every node the game
 //! touches — `S_v` plus the unexplored neighbors that receive coins — gets
 //! a dense slot, found through an epoch-stamped node → slot map
-//! ([`ampc_runtime::EpochMap`]). Adjacency lists are borrowed from the
-//! oracle, and `σ` levels, forwarding sets and coin amounts live in
-//! slot-indexed vectors, so a game on a warm scratch allocates nothing.
+//! ([`ampc_runtime::EpochMap`]). The adjacency list of every explored node
+//! is copied into one arena, and `σ` levels, forwarding sets and coin
+//! amounts live in slot-indexed vectors, so the scratch borrows nothing
+//! from the graph and a game on a warm scratch allocates nothing — across
+//! games and across the residual graphs of successive partition rounds.
 //!
 //! Coins are `f64`. Each flow iteration visits the holders in ascending
 //! node id and adds shares in forwarding-set order, which fixes the
@@ -139,13 +141,13 @@ const INFINITE: usize = usize::MAX;
 
 /// Everything one game knows about one node it touched.
 #[derive(Debug, Clone, Default)]
-struct Slot<'g> {
+struct Slot {
     node: NodeId,
     /// Whether the node is in `S_v`.
     explored: bool,
-    /// The adjacency list, borrowed from the oracle when the node joined
-    /// `S_v` (empty before).
-    neighbors: &'g [NodeId],
+    /// The adjacency list's range of [`CoinGameScratch::adjacency`], copied
+    /// from the oracle when the node joined `S_v` (empty before).
+    neighbors: Range<usize>,
     /// `σ_{S_v,β}` of the current super-iteration ([`INFINITE`] = `∞`);
     /// set for explored nodes only.
     level: usize,
@@ -172,9 +174,11 @@ struct Slot<'g> {
 /// [`CoinGame::play`] resets the scratch, so stale contents never leak
 /// into a later game.
 #[derive(Debug, Default)]
-pub(crate) struct CoinGameScratch<'g> {
+pub(crate) struct CoinGameScratch {
     slot_of: EpochMap,
-    slots: Vec<Slot<'g>>,
+    slots: Vec<Slot>,
+    /// Arena of the explored nodes' adjacency lists.
+    adjacency: Vec<NodeId>,
     /// Slots of `S_v`, in the order the nodes joined it.
     explored: Vec<usize>,
     /// Arena of the current super-iteration's forwarding sets.
@@ -190,12 +194,13 @@ pub(crate) struct CoinGameScratch<'g> {
     ranked: Vec<(u8, usize, NodeId)>,
 }
 
-impl<'g> CoinGameScratch<'g> {
+impl CoinGameScratch {
     /// Forgets the previous game and sizes the node → slot map for a graph
     /// of `num_nodes` nodes.
     fn reset(&mut self, num_nodes: usize) {
         self.slot_of.reset(num_nodes);
         self.slots.clear();
+        self.adjacency.clear();
         self.explored.clear();
     }
 
@@ -223,10 +228,12 @@ impl<'g> CoinGameScratch<'g> {
 
     /// Adds the node of `slot` to `S_v`, querying its degree and full
     /// adjacency list.
-    fn explore(&mut self, oracle: &LcaOracle<'g>, slot: usize) -> Result<(), ModelError> {
-        let neighbors = oracle.neighbors(self.slots[slot].node)?;
+    fn explore(&mut self, oracle: &LcaOracle<'_>, slot: usize) -> Result<(), ModelError> {
+        let start = self.adjacency.len();
+        self.adjacency
+            .extend_from_slice(oracle.neighbors(self.slots[slot].node)?);
         let info = &mut self.slots[slot];
-        info.neighbors = neighbors;
+        info.neighbors = start..self.adjacency.len();
         info.explored = true;
         self.explored.push(slot);
         Ok(())
@@ -258,7 +265,8 @@ impl<'g> CoinGameScratch<'g> {
             // next frontier at most once.
             self.next_frontier.clear();
             for index in 0..self.frontier.len() {
-                for &w in self.slots[self.frontier[index]].neighbors {
+                let neighbors = self.slots[self.frontier[index]].neighbors.clone();
+                for &w in &self.adjacency[neighbors] {
                     let Some(slot) = self.explored_slot(w) else {
                         continue;
                     };
@@ -288,7 +296,7 @@ impl<'g> CoinGameScratch<'g> {
         if info.forward_round == round {
             return info.forward.clone();
         }
-        let neighbors = info.neighbors;
+        let neighbors = info.neighbors.clone();
         let needed = neighbors.len().min(beta + 1);
         let start = self.forwarding.len();
         if needed > 0 {
@@ -297,7 +305,7 @@ impl<'g> CoinGameScratch<'g> {
             //   rank 1: sigma = ∞ and explored
             //   rank 2: finite sigma, larger sigma preferred (secondary key).
             self.ranked.clear();
-            for &w in neighbors {
+            for &w in &self.adjacency[neighbors] {
                 let (rank, secondary) = match self.explored_slot(w) {
                     None => (0u8, 0usize),
                     Some(explored) => match self.slots[explored].level {
@@ -385,8 +393,7 @@ impl<'g> CoinGameScratch<'g> {
         self.explored
             .iter()
             .map(|&slot| {
-                self.slots[slot]
-                    .neighbors
+                self.adjacency[self.slots[slot].neighbors.clone()]
                     .iter()
                     .filter(|&&w| self.explored_slot(w).is_some())
                     .count()
@@ -499,7 +506,7 @@ impl<'o, 'g> CoinGame<'o, 'g> {
     pub(crate) fn play(
         &self,
         root: NodeId,
-        scratch: &mut CoinGameScratch<'g>,
+        scratch: &mut CoinGameScratch,
     ) -> Result<CoinGameSummary, ModelError> {
         let queries_before = self.oracle.queries_used();
         let beta = self.config.beta;

@@ -108,11 +108,11 @@ pub fn partial_partition_lca(
 ///
 /// Propagates query-budget violations from the game and the first error
 /// `emit` returns.
-pub(crate) fn partial_partition_lca_with<'g>(
-    oracle: &LcaOracle<'g>,
+pub(crate) fn partial_partition_lca_with(
+    oracle: &LcaOracle<'_>,
     root: NodeId,
     config: &CoinGameConfig,
-    scratch: &mut CoinGameScratch<'g>,
+    scratch: &mut CoinGameScratch,
     mut emit: impl FnMut(NodeId, usize) -> Result<(), ModelError>,
 ) -> Result<CoinGameSummary, ModelError> {
     let summary = CoinGame::new(oracle, *config).play(root, scratch)?;

@@ -1,11 +1,11 @@
-//! Deterministic, seeded fault injection for the AMPC backends and the
-//! worker pool.
+//! Deterministic, seeded fault injection for the AMPC round engine and
+//! the worker pool.
 //!
 //! The AMPC model assumes machines that can stall or die between rounds;
 //! this module is the controlled way to make that happen. A [`FaultPlan`]
 //! describes *which* faults fire *where*, keyed by `(round, machine)` and
 //! a seed — never by thread id, worker id or wall clock — so a plan
-//! reproduces the exact same injections for any thread/shard count, which
+//! reproduces the exact same injections for any thread count, which
 //! is what lets the chaos equivalence matrix pin bit-identity under
 //! faults.
 //!
@@ -21,7 +21,7 @@
 //! * `panic=1/N` — a machine body panics with probability 1/N (per
 //!   `(round, machine)` cell; `0` disables, the default).
 //! * `stall=1/N`, `stall_ms=M` — a machine body sleeps `M` ms.
-//! * `merge=1/N` — the round's shard merge fails (per round).
+//! * `merge=1/N` — the round's merge fails (per round).
 //! * `alloc=1/N` — a machine body allocates and touches a scratch burst
 //!   (pressure on the allocation-discipline gate).
 //! * `abort=1/N` — the pool worker running the machine is poisoned: it
@@ -38,9 +38,9 @@
 //! a deterministic error reproduces identically on every attempt, so
 //! retries never change *which* error the caller sees.
 //!
-//! Both backends run every round through one crate-private supervisor
+//! The round engine runs every round through one crate-private supervisor
 //! (`supervise`), the one owner of the plan and deadline lookup, the
-//! bounded retry loop and the injection points; a backend supplies only
+//! bounded retry loop and the injection points; the engine supplies only
 //! its attempt body. When no plan, deadline or retry budget is
 //! configured, supervision collapses to one direct call of that body —
 //! the no-op branch the hot path pays.
@@ -79,7 +79,7 @@ pub struct FaultPlan {
     pub stall_rate: u64,
     /// How long a stalled body sleeps.
     pub stall_ms: u64,
-    /// Fail the shard merge of 1-in-`merge_rate` rounds.
+    /// Fail the merge of 1-in-`merge_rate` rounds.
     pub merge_rate: u64,
     /// Fire a [`TaskFault::AllocPressure`] in 1-in-`alloc_rate` cells.
     pub alloc_rate: u64,
@@ -145,7 +145,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether round `round`'s shard merge fails on attempt `attempt`.
+    /// Whether round `round`'s merge fails on attempt `attempt`.
     pub fn merge_fails(&self, round: u64, attempt: u32) -> bool {
         attempt == 0 && fires(mix(self.seed, round, u64::MAX), 4, self.merge_rate)
     }
@@ -315,7 +315,7 @@ pub struct FaultCounters {
     pub injected_panics: u64,
     /// Injected stalls.
     pub injected_stalls: u64,
-    /// Injected shard-merge failures.
+    /// Injected merge failures.
     pub injected_merge_failures: u64,
     /// Injected allocation bursts.
     pub injected_allocs: u64,
@@ -383,7 +383,7 @@ pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Round supervision, shared by both backends.
+// Round supervision.
 
 /// Why one round attempt did not produce a report.
 pub(crate) enum AttemptFailure {
@@ -391,11 +391,11 @@ pub(crate) enum AttemptFailure {
     /// attempt, so it surfaces immediately without retrying.
     Fatal(ampc_model::ModelError),
     /// The attempt overran the per-round deadline (in milliseconds); its
-    /// results were discarded before touching the backend's state.
+    /// results were discarded before touching the engine's state.
     Deadline(u64),
 }
 
-/// One attempt of a supervised round, handed to the backend's attempt
+/// One attempt of a supervised round, handed to the engine's attempt
 /// body by [`supervise`]: the injection points the body calls, and the
 /// attempt's deadline. Without a plan every hook is one untaken branch.
 pub(crate) struct Attempt<'p> {
@@ -407,12 +407,6 @@ pub(crate) struct Attempt<'p> {
 }
 
 impl Attempt<'_> {
-    /// Whether a plan is installed, i.e. whether [`Attempt::before_machine`]
-    /// can fire at all — lets a backend skip wrapping its machine body.
-    pub(crate) fn injects(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Fires the task fault the plan puts on `machine` in this attempt, if
     /// any. Called before each machine body; keyed on the machine id, never
     /// the chunk or worker, so the same cells fault for any thread count.
@@ -437,11 +431,6 @@ impl Attempt<'_> {
         }
     }
 
-    /// Whether a per-round deadline applies to this attempt.
-    pub(crate) fn has_deadline(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// [`AttemptFailure::Deadline`] once this attempt has run longer than
     /// the per-round deadline.
     pub(crate) fn check_deadline(&self) -> Result<(), AttemptFailure> {
@@ -458,12 +447,12 @@ impl Attempt<'_> {
 /// and retry budget ([`max_round_retries`]), retrying with exponential
 /// backoff until an attempt succeeds or the budget is spent. Panics out of
 /// an attempt (injected or real) are caught and retried, so an attempt
-/// must leave the backend untouched until it commits — the "failed rounds
-/// leave no trace" invariant both backends hold.
+/// must leave the engine untouched until it commits — the "failed rounds
+/// leave no trace" invariant.
 ///
-/// `round` is the backend's completed-round count, which only advances on
-/// success: every attempt of one logical round, on either backend, sees
-/// the same injection cells.
+/// `round` is the engine's completed-round count, which only advances on
+/// success: every attempt of one logical round, at every thread count,
+/// sees the same injection cells.
 pub(crate) fn supervise<T>(
     round: usize,
     mut attempt_fn: impl FnMut(&Attempt<'_>) -> Result<T, AttemptFailure>,
@@ -509,9 +498,9 @@ pub(crate) fn supervise<T>(
                 }
             }
             Err(payload) => {
-                // A sequential-backend AbortWorker fault panics on the
-                // calling thread itself — clear the stray poison flag (no
-                // pool worker to respawn here).
+                // An AbortWorker fault in a chunk that ran inline panicked
+                // on the calling thread itself — clear the stray poison
+                // flag (no pool worker to respawn here).
                 let _ = take_worker_poison();
                 if number >= max_retries {
                     return Err(ampc_model::ModelError::RoundPanicked {

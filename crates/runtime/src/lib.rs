@@ -1,29 +1,26 @@
 //! # ampc-runtime
 //!
-//! Sharded, multi-threaded execution subsystem for AMPC rounds.
+//! Multi-threaded execution subsystem for AMPC rounds and the LOCAL/MPC
+//! simulators.
 //!
 //! The `ampc-model` crate defines *what* an AMPC round is (machines with
 //! `O(S)` read/write budgets communicating through distributed data stores)
-//! and ships a sequential reference simulator. This crate makes the model's
-//! defining feature — **many machines running in parallel against a
-//! distributed store** — real:
+//! and ships a sequential reference simulator. This crate runs the rounds
+//! the algorithms actually need on many threads:
 //!
-//! * [`ShardedStore`] — the DDS hash-partitioned into `N` shards with
-//!   lock-free concurrent reads (shared immutably during a round, with
-//!   per-shard atomic read counters) and per-shard write buffers merged by
-//!   the existing [`ConflictPolicy`] rules.
-//! * [`ParallelBackend`] — a round scheduler that fans machine closures out
-//!   across a thread pool (contiguous machine ranges per worker), preserving
-//!   the per-machine read/write budget enforcement of the sequential
-//!   executor.
-//! * [`AmpcBackend`] — the executor abstraction all backends implement, so
-//!   every algorithm in the workspace runs on any of them through a
-//!   [`RuntimeConfig`] switch. Both backends share one round supervisor
-//!   (fault injection, deadline and bounded retry, see [`faults`]) and
-//!   differ only in how an attempt executes and merges.
+//! * [`RoundEngine`] — the round engine of the β-partition. Its store is a
+//!   dense `u32` layer array indexed by node; machines run in contiguous
+//!   id ranges across a thread pool, with the per-machine read/write
+//!   budgets of the sequential executor, and every buffered
+//!   `node → layer` write is min-merged into the next round's array with
+//!   one `fetch_min` right after its machine's body. Every round runs
+//!   under one supervisor (fault injection, deadline and bounded retry,
+//!   see [`faults`]), at every thread count.
+//! * [`RuntimeConfig`] — the thread-count switch every algorithm in the
+//!   workspace accepts; results never depend on it.
 //! * [`WorkerPool`] — a **persistent** worker pool: threads are spawned once
 //!   per pool (the process-wide [`WorkerPool::global`] pool by default) and
-//!   reused across rounds, backends and jobs, instead of scoped-spawning
+//!   reused across rounds, engines and jobs, instead of scoped-spawning
 //!   per round. The serving subsystem (`ampc-service`) shares the same
 //!   pool across its job queue. Tasks run on per-worker **work-stealing
 //!   deques** (LIFO local pop, FIFO steal), so skewed batches — the
@@ -46,59 +43,52 @@
 //!   allocate nothing in steady state, with reuse counters surfaced as
 //!   [`ampc_model::RoundRuntimeStats::scratch_reuses`] /
 //!   [`ampc_model::RoundRuntimeStats::scratch_allocs`].
-//! * Extended metrics — wall-clock per round, per-shard read/write counts,
-//!   conflict-merge counts and pool-reuse deltas (tasks per worker, idle
-//!   time), surfaced through [`ampc_model::AmpcMetrics::runtime_stats`].
+//! * Extended metrics — wall-clock per round, conflict-merge counts and
+//!   pool-reuse deltas (tasks per worker, idle time), surfaced through
+//!   [`ampc_model::AmpcMetrics::runtime_stats`].
 //! * [`TraceContext`] / [`LatencyHistogram`] — the observability layer
 //!   (see [`trace`]): a never-blocking, pre-allocated span recorder
-//!   carried by [`RoundPrimitives`] and the backends (per-round, per-layer
-//!   and per-phase spans, exportable as Chrome trace-event JSON) plus
+//!   carried by [`RoundPrimitives`] and the round engine (per-round,
+//!   per-layer and per-phase spans, exportable as Chrome trace-event JSON) plus
 //!   log-bucketed latency histograms for the serving subsystem.
 //!
 //! ## Determinism contract
 //!
-//! For a fixed seed and [`ConflictPolicy`], the parallel backend produces
-//! **bit-identical** final stores (and therefore colorings) to the
-//! sequential backend, for any thread and shard count:
+//! For a fixed input, a [`RoundEngine`] produces **bit-identical** layer
+//! stores, round reports and errors for any thread count, equal to those
+//! of [`ampc_model::AmpcExecutor`] under [`ConflictPolicy::KeepMin`]:
 //!
 //! * machine bodies only see the previous round's store, so execution order
-//!   within a round cannot leak;
-//! * writes are buffered per machine and merged in `(machine id, write
-//!   index)` order, exactly the order the sequential executor applies them
-//!   in — [`ConflictPolicy::KeepFirst`] and error reporting stay
-//!   deterministic;
-//! * errors follow the sequential executor's event order (machine `m`'s
-//!   body runs, then its writes merge, then machine `m + 1` starts): the
-//!   lowest failing machine's body error is returned unless a write
-//!   conflict among strictly earlier machines precedes it.
+//!   within a round cannot leak through reads;
+//! * the merge keeps the minimum layer per node, and min is commutative and
+//!   associative, so the order in which concurrent writes land cannot leak
+//!   through the store either;
+//! * a failing round reports the error of its lowest failing machine — each
+//!   chunk stops at its first failure and the lowest of those wins — and
+//!   commits nothing.
 //!
 //! ```
-//! use ampc_model::{AmpcConfig, ConflictPolicy, DataStore, Key, Value};
+//! use ampc_model::{AmpcConfig, Key, Value};
 //! use ampc_runtime::RuntimeConfig;
 //!
-//! let mut input = DataStore::new();
-//! for i in 0..64u64 {
-//!     input.insert(Key::single(i), Value::single(i));
-//! }
 //! let config = AmpcConfig::for_input_size(64, 0.5);
 //!
-//! // Same program, both backends.
+//! // Same round, both runtimes: machine m proposes layer m % 3 for itself
+//! // and its successor; each node keeps the smaller proposal.
 //! let mut results = Vec::new();
 //! for runtime in [RuntimeConfig::Sequential, RuntimeConfig::parallel().with_threads(4)] {
-//!     let mut backend = runtime.backend(config, input.clone());
-//!     backend
-//!         .round(64, ConflictPolicy::Error, |machine, ctx| {
-//!             let key = Key::single(machine as u64);
-//!             if let Some(value) = ctx.read(key)? {
-//!                 ctx.write(key, Value::single(value.words()[0] * 2))?;
-//!             }
-//!             Ok(())
+//!     let mut engine = runtime.engine(config);
+//!     engine
+//!         .round(64, |machine, ctx| {
+//!             let layer = Value::single(machine as u64 % 3);
+//!             ctx.write(Key::single(machine as u64), layer)?;
+//!             ctx.write(Key::single((machine as u64 + 1) % 64), layer)
 //!         })
 //!         .unwrap();
-//!     results.push(backend.snapshot_store());
+//!     results.push((0..64).map(|node| engine.layer(node)).collect::<Vec<_>>());
 //! }
 //! assert_eq!(results[0], results[1]);
-//! assert_eq!(results[0].get(Key::single(21)), Some(Value::single(42)));
+//! assert_eq!(results[0][5], Some(1)); // min(5 % 3, 4 % 3)
 //! ```
 
 // `deny` rather than `forbid`: the worker pool's scoped-batch execution
@@ -111,29 +101,25 @@
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
-mod backend;
 mod config;
+mod engine;
 pub mod faults;
-mod parallel;
 pub mod perf;
 mod pool;
 mod rounds;
 mod scratch;
-mod shard;
 pub mod simd;
 pub mod trace;
 
 pub use ampc_model::{ConflictPolicy, RoundRuntimeStats};
-pub use backend::{AmpcBackend, RoundBody, SequentialBackend};
 pub use config::RuntimeConfig;
-pub use parallel::ParallelBackend;
+pub use engine::RoundEngine;
 pub use perf::{PerfCounters, PerfSink};
 pub use pool::{parallel_map, parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
 pub use rounds::RoundPrimitives;
 pub use scratch::{
     scratch_totals, BitSet, EpochMap, MarkerSet, ScratchCounters, ScratchLease, ScratchPool,
 };
-pub use shard::ShardedStore;
 pub use trace::{
     chrome_trace_json, span_on, LatencyHistogram, SpanGuard, TraceContext, TraceEvent,
     TraceTimeline,

@@ -1,11 +1,11 @@
 //! The persistent worker pool, deterministic work partitioning and parallel
 //! map helpers.
 //!
-//! Before the pool existed the parallel backend spawned scoped threads for
+//! Before the pool existed the parallel runtime spawned scoped threads for
 //! every round, which dominates the wall clock of many-round algorithms
 //! (the β-partition runs hundreds of rounds on small remainders). The
 //! [`WorkerPool`] keeps its worker threads alive across rounds *and* across
-//! jobs: the round scheduler, [`parallel_map`] and the serving subsystem
+//! jobs: the round engine, [`parallel_map`] and the serving subsystem
 //! (`ampc-service`) all share the process-wide [`WorkerPool::global`] pool
 //! unless handed a dedicated one.
 //!
@@ -269,7 +269,7 @@ fn worker_loop(shared: Arc<PoolShared>, index: usize) {
 /// Cumulative reuse counters of a [`WorkerPool`], snapshotted by
 /// [`WorkerPool::stats`]. Round schedulers record the per-round *delta* of
 /// these into [`ampc_model::RoundRuntimeStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks completed by each worker since the pool started.
     pub tasks_per_worker: Vec<u64>,
@@ -375,7 +375,7 @@ impl WorkerPool {
 
     /// The process-wide shared pool (sized to the host's available
     /// parallelism, at least 2), used by [`parallel_map`] and every
-    /// [`crate::ParallelBackend`] not constructed with a dedicated pool.
+    /// [`crate::RoundEngine`] not constructed with a dedicated pool.
     /// Spawned lazily on first use and never torn down.
     pub fn global() -> &'static Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
@@ -399,24 +399,27 @@ impl WorkerPool {
 
     /// Snapshot of the cumulative reuse counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            tasks_per_worker: self
-                .shared
-                .workers
-                .iter()
-                .map(|w| w.tasks.load(Ordering::Relaxed))
-                .collect(),
-            idle_nanos_per_worker: self
-                .shared
-                .workers
-                .iter()
-                .map(|w| w.idle_nanos.load(Ordering::Relaxed))
-                .collect(),
-            helper_tasks: self.shared.helper_tasks.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            overflows: self.shared.overflows.load(Ordering::Relaxed),
-            worker_restarts: self.shared.restarts.load(Ordering::Relaxed),
-        }
+        let mut stats = PoolStats::default();
+        self.stats_into(&mut stats);
+        stats
+    }
+
+    /// [`WorkerPool::stats`] into an existing snapshot, reusing its
+    /// buffers (allocation-free once they are sized).
+    pub fn stats_into(&self, stats: &mut PoolStats) {
+        let workers = &self.shared.workers;
+        stats.tasks_per_worker.clear();
+        stats
+            .tasks_per_worker
+            .extend(workers.iter().map(|w| w.tasks.load(Ordering::Relaxed)));
+        stats.idle_nanos_per_worker.clear();
+        stats
+            .idle_nanos_per_worker
+            .extend(workers.iter().map(|w| w.idle_nanos.load(Ordering::Relaxed)));
+        stats.helper_tasks = self.shared.helper_tasks.load(Ordering::Relaxed);
+        stats.steals = self.shared.steals.load(Ordering::Relaxed);
+        stats.overflows = self.shared.overflows.load(Ordering::Relaxed);
+        stats.worker_restarts = self.shared.restarts.load(Ordering::Relaxed);
     }
 
     /// Runs a batch of tasks on the pool, blocking until **all** of them

@@ -78,7 +78,7 @@ pub struct TraceEvent {
 /// A shared, never-blocking span recorder with pre-allocated buffers.
 ///
 /// Create one per traced job (`Arc`-shared into `RoundPrimitives` and the
-/// backend), record spans from any thread, then [`TraceContext::finish`]
+/// round engine), record spans from any thread, then [`TraceContext::finish`]
 /// it into a [`TraceTimeline`]. See the module docs for the overflow and
 /// cost contracts.
 pub struct TraceContext {

@@ -72,7 +72,7 @@ pub struct ServiceConfig {
     pub cache_ttl: Duration,
     /// Per-job trace-event capacity. Each computed (non-cached) job gets a
     /// [`TraceContext`] with this many pre-allocated event slots; every
-    /// AMPC round, simulator phase and backend merge records a span into
+    /// AMPC round, simulator phase and round merge records a span into
     /// it, and the drained timeline is served by
     /// `GET /v1/jobs/{id}/trace`. Events beyond the capacity are dropped
     /// and counted, never blocking the computation. `0` disables per-job
@@ -84,7 +84,7 @@ pub struct ServiceConfig {
     /// (bad parameters, partition failures) never retry.
     pub job_retries: u32,
     /// Per-AMPC-round wall-clock deadline in milliseconds, enforced by the
-    /// runtime backends (an overrunning round attempt is discarded and
+    /// round engine (an overrunning round attempt is discarded and
     /// retried; persistent overrun fails the round). `0` disables, leaving
     /// any `AMPC_ROUND_DEADLINE_MS` environment setting in force.
     pub round_deadline_ms: u64,
@@ -460,8 +460,8 @@ impl std::fmt::Debug for JobManager {
 impl JobManager {
     /// Spawns the persistent job workers and returns the manager.
     pub fn new(config: ServiceConfig) -> Self {
-        // The round deadline lives in the runtime (it gates the backends'
-        // attempt loops); only a nonzero config value overrides the
+        // The round deadline lives in the runtime (it gates the round
+        // engine's attempt loop); only a nonzero config value overrides the
         // `AMPC_ROUND_DEADLINE_MS` environment setting.
         if config.round_deadline_ms > 0 {
             ampc_runtime::faults::set_round_deadline_ms(config.round_deadline_ms);
@@ -882,10 +882,9 @@ pub fn job_key(graph: &CsrGraph, spec: &JobSpec) -> u64 {
     hash.write_usize(spec.request.max_partition_rounds);
     match spec.request.runtime {
         RuntimeConfig::Sequential => hash.write_u64(0),
-        RuntimeConfig::Parallel { threads, shards } => {
+        RuntimeConfig::Parallel { threads } => {
             hash.write_u64(1);
             hash.write_u64(threads.map_or(0, |t| t as u64 + 1));
-            hash.write_u64(shards.map_or(0, |s| s as u64 + 1));
         }
     }
     hash.write_u64(policy_tag(spec.policy));

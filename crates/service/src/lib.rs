@@ -10,9 +10,9 @@
 //!
 //! | method & path | purpose |
 //! |---|---|
-//! | `POST /v1/color` | submit an edge-list body; query params select algorithm, `alpha`, `epsilon`, `delta`, `runtime`/`threads`/`shards`, `policy`; `wait=1` blocks for the result; responses carry `X-Job-Id` and `X-Trace-Id` headers |
+//! | `POST /v1/color` | submit an edge-list body; query params select algorithm, `alpha`, `epsilon`, `delta`, `runtime`/`threads`, `policy`; `wait=1` blocks for the result; responses carry `X-Job-Id` and `X-Trace-Id` headers |
 //! | `GET /v1/jobs/{id}` | job status plus the result and its `AmpcMetrics` (rendered through the workspace's no-serde table serializer) |
-//! | `GET /v1/jobs/{id}/trace` | the job's span timeline as Chrome trace-event JSON (Perfetto-loadable): every AMPC round, simulator phase and backend merge of the computation |
+//! | `GET /v1/jobs/{id}/trace` | the job's span timeline as Chrome trace-event JSON (Perfetto-loadable): every AMPC round, simulator phase and round merge of the computation |
 //! | `GET /healthz` | liveness |
 //! | `GET /metrics` | per-endpoint counters, queue depth, job/cache counters, latency histograms, persistent-pool reuse stats, recent jobs; `?format=prometheus` switches to the Prometheus text exposition |
 //!

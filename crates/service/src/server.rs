@@ -731,12 +731,10 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
             .map_err(|_| error_response(400, &format!("bad max_rounds `{raw}`")))?;
     }
 
-    // Both values size allocations (worker chunks, shard hash maps), so an
-    // untrusted client must not be able to pick them arbitrarily large.
+    // The thread count sizes allocations (one chunk and write buffer per
+    // thread), so an untrusted client must not pick it arbitrarily large.
     const MAX_THREADS: usize = 256;
-    const MAX_SHARDS: usize = 4096;
     let threads = parse_optional_response(head, "threads")?;
-    let shards = parse_optional_response(head, "shards")?;
     if let Some(threads) = threads {
         if threads == 0 || threads > MAX_THREADS {
             return Err(error_response(
@@ -745,19 +743,8 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
             ));
         }
     }
-    // shards = 0 is the auto-tuning sentinel (initial count derived from
-    // the thread count, grown from observed imbalance) and is allowed;
-    // the auto-tuner's own ceiling is far below MAX_SHARDS.
-    if let Some(shards) = shards {
-        if shards > MAX_SHARDS {
-            return Err(error_response(
-                400,
-                &format!("shards must lie in 0..={MAX_SHARDS} (0 = auto-tuned)"),
-            ));
-        }
-    }
     let runtime_kind = head.query_param("runtime").unwrap_or({
-        if threads.is_some() || shards.is_some() {
+        if threads.is_some() {
             "parallel"
         } else {
             "sequential"
@@ -765,24 +752,17 @@ fn parse_spec(head: &RequestHead) -> Result<JobSpec, Response> {
     });
     request.runtime = match runtime_kind {
         "sequential" => {
-            if threads.is_some() || shards.is_some() {
+            if threads.is_some() {
                 return Err(error_response(
                     400,
-                    "threads/shards only apply to runtime=parallel",
+                    "threads only applies to runtime=parallel",
                 ));
             }
             RuntimeConfig::Sequential
         }
-        "parallel" => {
-            let mut runtime = RuntimeConfig::parallel();
-            if let Some(threads) = threads {
-                runtime = runtime.with_threads(threads);
-            }
-            if let Some(shards) = shards {
-                runtime = runtime.with_shards(shards);
-            }
-            runtime
-        }
+        "parallel" => threads.map_or_else(RuntimeConfig::parallel, |threads| {
+            RuntimeConfig::parallel().with_threads(threads)
+        }),
         other => {
             return Err(error_response(
                 400,
@@ -987,7 +967,7 @@ fn runtime_stats_table(outcome: &ColoringOutcome) -> Table {
     let mut table = Table::new(
         "runtime",
         "per-round runtime stats",
-        "wall clock, shard loads, pool reuse and hardware counters of every \
+        "wall clock, conflict merges, pool reuse and hardware counters of every \
          recorded AMPC round; the coloring-phase row's wall_clock_us is real \
          elapsed time (the max over concurrently simulated layers) while \
          intra_wall_us sums worker occupancy across those layers, so \
@@ -998,13 +978,10 @@ fn runtime_stats_table(outcome: &ColoringOutcome) -> Table {
             "round",
             "wall_clock_us",
             "conflict_merges",
-            "shard_reads",
-            "shard_writes",
             "pool_tasks",
             "pool_idle_us",
             "pool_steals",
             "pool_overflows",
-            "auto_shards",
             "intra_tasks",
             "intra_wall_us",
             "scratch_reuses",
@@ -1021,13 +998,10 @@ fn runtime_stats_table(outcome: &ColoringOutcome) -> Table {
             round.to_string(),
             (stats.wall_clock_nanos / 1_000).to_string(),
             stats.conflict_merges.to_string(),
-            stats.shard_reads.iter().sum::<u64>().to_string(),
-            stats.shard_writes.iter().sum::<u64>().to_string(),
             stats.pool_tasks_per_worker.iter().sum::<u64>().to_string(),
             (stats.pool_idle_nanos / 1_000).to_string(),
             stats.pool_steals.to_string(),
             stats.pool_overflows.to_string(),
-            stats.auto_shards.to_string(),
             stats.intra_tasks.to_string(),
             (stats.intra_wall_nanos / 1_000).to_string(),
             stats.scratch_reuses.to_string(),
@@ -1984,16 +1958,6 @@ mod tests {
         assert!(response.contains("\"coloring\":["), "{response}");
         assert!(response.contains("\"runtime_stats\""), "{response}");
 
-        // shards=0 selects the auto-tuned shard count and is accepted.
-        let (status, response) = request(
-            addr,
-            "POST",
-            "/v1/color?algorithm=two-alpha-plus-one&alpha=1&runtime=parallel&threads=2&shards=0&wait=1",
-            body,
-        );
-        assert_eq!(status, 200, "{response}");
-        assert!(response.contains("\"status\":\"done\""), "{response}");
-
         // Async path: 202 then poll.
         let (status, response) = request(addr, "POST", "/v1/color?alpha=1", body);
         assert_eq!(status, 202, "{response}");
@@ -2085,7 +2049,6 @@ mod tests {
             "/v1/color?runtime=process&threads=2",
             "/v1/color?runtime=process&shards=8",
             "/v1/color?epsilon=abc",
-            "/v1/color?shards=1000000000",
             "/v1/color?threads=0",
             // Out-of-domain numerics are rejected before submission — a
             // NaN epsilon parses as f64 but must never reach the queue

@@ -1,20 +1,21 @@
-//! The determinism contract of the `ampc-runtime` subsystem: for a fixed
-//! seed and `ConflictPolicy`, the sharded parallel backend produces
-//! bit-identical stores, partitions and colorings to the sequential
-//! reference simulator — across every `Workload`, every policy and a
-//! matrix of thread/shard counts — and budget violations surface as the
-//! same errors.
+//! The determinism contract of the `ampc-runtime` subsystem: the round
+//! engine stores exactly what the sequential `AmpcExecutor` under
+//! `ConflictPolicy::KeepMin` stores, and partitions and colorings are
+//! bit-identical across thread counts — on every `Workload` — with budget
+//! violations surfacing as the same errors.
 
 use ampc_coloring_repro::{Algorithm, RuntimeConfig, SparseColoring, Workload};
-use ampc_model::{AmpcConfig, ConflictPolicy, DataStore, Key, ModelError, Value};
-use ampc_runtime::{AmpcBackend, RoundPrimitives};
+use ampc_model::{
+    AmpcConfig, AmpcExecutor, ConflictPolicy, DataStore, Key, MachineContext, ModelError, Value,
+};
+use ampc_runtime::{RoundEngine, RoundPrimitives};
 use arbo_coloring::{
     arb_linial_coloring_with_runtime, derandomized_coloring_relabeled,
     derandomized_coloring_with_runtime, kw_color_reduction_with_runtime,
     recolor_layers_with_runtime, DerandParams, RecolorOrder,
 };
 use beta_partition::{ampc_beta_partition, natural_partition, PartitionParams};
-use sparse_graph::{relabel, Coloring, CsrGraph, Orientation, RelabelPolicy};
+use sparse_graph::{relabel, Coloring, Orientation, RelabelPolicy};
 
 const ALL_WORKLOADS: [Workload; 5] = [
     Workload::ForestUnion { n: 400, k: 2 },
@@ -32,125 +33,121 @@ const ALL_WORKLOADS: [Workload; 5] = [
     },
 ];
 
-const ALL_POLICIES: [ConflictPolicy; 4] = [
-    ConflictPolicy::KeepMin,
-    ConflictPolicy::KeepMax,
-    ConflictPolicy::KeepFirst,
-    ConflictPolicy::Error,
-];
-
 fn parallel_matrix() -> Vec<RuntimeConfig> {
     vec![
-        RuntimeConfig::parallel().with_threads(2).with_shards(1),
-        RuntimeConfig::parallel().with_threads(4).with_shards(8),
-        RuntimeConfig::parallel().with_threads(7).with_shards(3),
-        // shards = 0 selects imbalance-driven auto-tuning; the shard count
-        // may grow between rounds without touching any result.
-        RuntimeConfig::parallel().with_threads(4).with_shards(0),
+        RuntimeConfig::parallel().with_threads(2),
+        RuntimeConfig::parallel().with_threads(4),
+        RuntimeConfig::parallel().with_threads(7),
     ]
 }
 
-/// The DDS image of a graph: one degree entry per node.
-fn store_of(graph: &CsrGraph) -> DataStore {
-    graph
-        .nodes()
+/// A store as `node -> layer` over `0..n`.
+fn layers_of(store: &DataStore, n: usize) -> Vec<Option<u32>> {
+    (0..n)
         .map(|v| {
-            (
-                Key::pair(0, v as u64),
-                Value::single(graph.degree(v) as u64),
-            )
+            store
+                .get(Key::single(v as u64))
+                .map(|value| value.words()[0] as u32)
         })
         .collect()
 }
 
-/// A three-round adaptive program exercising reads of the previous store,
-/// carry-forward semantics and colliding writes.
-///
-/// Under `ConflictPolicy::Error` the colliding writes carry identical
-/// values (machines colliding modulo 7 write their shared residue), so the
-/// program succeeds under every policy while still merging duplicates.
-fn run_program(
-    backend: &mut dyn AmpcBackend,
-    machines: usize,
-    policy: ConflictPolicy,
-) -> DataStore {
-    backend
-        .round_carrying_forward(machines, policy, |machine, ctx| {
-            let degree = ctx
-                .read(Key::pair(0, machine as u64))?
-                .map_or(0, |v| v.words()[0]);
-            // Adaptive second read: the target depends on the first answer.
-            let other = ctx
-                .read(Key::pair(0, degree % machines as u64))?
-                .map_or(0, |v| v.words()[0]);
-            ctx.write(
-                Key::pair(1, machine as u64),
-                Value::single(degree.wrapping_add(other)),
-            )?;
-            let residue = (machine % 7) as u64;
-            ctx.write(Key::pair(2, residue), Value::single(residue))
-        })
-        .expect("round 1 fits its budgets");
-    backend
-        .round(machines, policy, |machine, ctx| {
-            if let Some(v) = ctx.read(Key::pair(1, machine as u64))? {
-                ctx.write(
-                    Key::pair(3, machine as u64),
-                    Value::single(v.words()[0] * 2 + 1),
-                )?;
-            }
-            Ok(())
-        })
-        .expect("round 2 fits its budgets");
-    backend
-        .round_carrying_forward(machines, policy, |machine, ctx| {
-            let own = ctx.read(Key::pair(3, machine as u64))?;
-            if let Some(v) = own {
-                // Colliding keys again: merge by policy (identical values
-                // under Error because the written value is key-derived).
-                let bucket = (machine % 13) as u64;
-                let value = if policy == ConflictPolicy::Error {
-                    bucket
-                } else {
-                    v.words()[0]
-                };
-                ctx.write(Key::pair(4, bucket), Value::single(value))?;
-            }
-            Ok(())
-        })
-        .expect("round 3 fits its budgets");
-    backend.snapshot_store()
-}
-
+/// The round engine against its oracle, `AmpcExecutor` under
+/// `ConflictPolicy::KeepMin`. The body has the partition's shape: machine
+/// `v` reads its own layer from the previous round, proposes a small layer
+/// for every neighbour (so many machines hit the same node) and records its
+/// degree as side-channel reads. Two rounds run clean; in a third, every
+/// machine ≡ 3 (mod 4) overruns its write budget.
 #[test]
-fn stores_are_bit_identical_across_workloads_and_policies() {
+fn engine_matches_the_keep_min_executor_on_every_workload() {
     for workload in ALL_WORKLOADS {
         let graph = workload.build(97);
-        let machines = graph.num_nodes();
-        let config = AmpcConfig::for_input_size(graph.num_nodes() + graph.num_edges(), 0.5);
-        for policy in ALL_POLICIES {
-            let mut sequential = RuntimeConfig::Sequential.backend(config, store_of(&graph));
-            let expected = run_program(sequential.as_mut(), machines, policy);
-            for runtime in parallel_matrix() {
-                let mut parallel = runtime.backend(config, store_of(&graph));
-                let actual = run_program(parallel.as_mut(), machines, policy);
-                assert_eq!(
-                    expected,
-                    actual,
-                    "workload {:?}, policy {policy:?}, runtime {}",
-                    workload,
-                    runtime.label()
-                );
-                // Model-level metrics (rounds, reads, writes, store sizes)
-                // agree too; wall clock and shard stats are excluded from
-                // metric equality by design.
-                assert_eq!(
-                    sequential.metrics(),
-                    parallel.metrics(),
-                    "workload {:?}, policy {policy:?}",
-                    workload
-                );
+        let n = graph.num_nodes();
+        // The write budget covers the largest neighbourhood.
+        let base = AmpcConfig::for_input_size(n + graph.num_edges(), 0.5);
+        let slack = (graph.max_degree() + 1) as f64 / base.local_space() as f64;
+        let config = base.with_space_slack(slack.max(1.0));
+        let budget = config.write_budget();
+        let graph = &graph;
+        let propose = |machine: usize, ctx: &mut MachineContext<'_>| -> Result<(), ModelError> {
+            let own = ctx
+                .read(Key::single(machine as u64))?
+                .map_or(0, |v| v.words()[0]);
+            ctx.note_reads(graph.degree(machine));
+            for &w in graph.neighbors(machine) {
+                let layer = (own + 3 * machine as u64 + w as u64) % 7;
+                ctx.write(Key::single(w as u64), Value::single(layer))?;
             }
+            Ok(())
+        };
+        let overrun = |machine: usize, ctx: &mut MachineContext<'_>| -> Result<(), ModelError> {
+            if machine % 4 != 3 {
+                return propose(machine, ctx);
+            }
+            for i in 0..=budget {
+                ctx.write(Key::single(((machine + i) % n) as u64), Value::single(1))?;
+            }
+            Ok(())
+        };
+
+        let mut executor = AmpcExecutor::new(config, DataStore::new());
+        let mut oracle = Vec::new();
+        for _ in 0..2 {
+            executor
+                .round(n, ConflictPolicy::KeepMin, propose)
+                .expect("the oracle round fits its budgets");
+            oracle.push((layers_of(executor.store(), n), executor.store().len()));
+        }
+        let oracle_error = executor
+            .round(n, ConflictPolicy::KeepMin, overrun)
+            .unwrap_err();
+        assert_eq!(
+            oracle_error,
+            ModelError::WriteBudgetExceeded { machine: 3, budget }
+        );
+
+        for threads in [1, 2, 4, 7] {
+            let label = format!("workload {workload:?}, threads {threads}");
+            let mut engine = RoundEngine::new(config, threads);
+            for (layers, len) in &oracle {
+                engine
+                    .round(n, propose)
+                    .unwrap_or_else(|error| panic!("{label}: {error}"));
+                let actual: Vec<Option<u32>> = (0..n).map(|v| engine.layer(v)).collect();
+                assert_eq!(&actual, layers, "{label}");
+                assert_eq!(engine.layered(), *len, "{label}");
+            }
+            // Equal round reports (machines, reads, writes, store words)
+            // and equal conflict-merge counts.
+            assert_eq!(engine.metrics(), executor.metrics(), "{label}");
+            let merges = |metrics: &ampc_model::AmpcMetrics| -> Vec<usize> {
+                metrics
+                    .runtime_stats()
+                    .iter()
+                    .map(|stats| stats.conflict_merges)
+                    .collect()
+            };
+            assert_eq!(
+                merges(engine.metrics()),
+                merges(executor.metrics()),
+                "{label}"
+            );
+
+            let before: Vec<Option<u32>> = (0..n).map(|v| engine.layer(v)).collect();
+            let metrics_before = engine.metrics().clone();
+            assert_eq!(
+                engine.round(n, overrun).unwrap_err(),
+                oracle_error,
+                "{label}"
+            );
+            let after: Vec<Option<u32>> = (0..n).map(|v| engine.layer(v)).collect();
+            assert_eq!(before, after, "a failed round left a trace ({label})");
+            assert_eq!(engine.metrics(), &metrics_before, "{label}");
+            assert_eq!(
+                engine.metrics().runtime_stats(),
+                metrics_before.runtime_stats(),
+                "{label}"
+            );
         }
     }
 }
@@ -169,7 +166,7 @@ fn partitions_and_colorings_agree_on_every_workload() {
             &graph,
             &PartitionParams::new(beta)
                 .with_x(4)
-                .with_runtime(RuntimeConfig::parallel().with_threads(4).with_shards(8)),
+                .with_runtime(RuntimeConfig::parallel().with_threads(4)),
         )
         .expect("partition succeeds");
         assert_eq!(
@@ -726,7 +723,7 @@ fn tracing_on_and_off_are_bit_identical() {
         let alpha = workload.alpha_bound();
         for runtime in [
             RuntimeConfig::Sequential,
-            RuntimeConfig::parallel().with_threads(4).with_shards(8),
+            RuntimeConfig::parallel().with_threads(4),
         ] {
             let builder = SparseColoring::new()
                 .algorithm(Algorithm::TwoAlphaPlusOne)
@@ -781,74 +778,59 @@ fn large_arboricity_variant_agrees_too() {
     assert_eq!(sequential.colors_used, parallel.colors_used);
 }
 
+/// The error every runtime reports for one failing round, the sequential
+/// executor's first.
+fn round_errors<F>(config: AmpcConfig, machines: usize, body: F) -> Vec<ModelError>
+where
+    F: Fn(usize, &mut MachineContext<'_>) -> Result<(), ModelError> + Sync + Copy,
+{
+    let mut executor = AmpcExecutor::new(config, DataStore::new());
+    let mut errors = vec![executor
+        .round(machines, ConflictPolicy::KeepMin, body)
+        .unwrap_err()];
+    for runtime in [RuntimeConfig::Sequential]
+        .into_iter()
+        .chain(parallel_matrix())
+    {
+        errors.push(runtime.engine(config).round(machines, body).unwrap_err());
+    }
+    errors
+}
+
 #[test]
 fn budget_violation_errors_are_identical() {
     // Tight budgets: input size 16 at delta 0.5 gives 4 reads / 4 writes.
     let config = AmpcConfig::for_input_size(16, 0.5);
-    let initial = || -> DataStore {
-        (0..32u64)
-            .map(|i| (Key::single(i), Value::single(i)))
-            .collect()
+    let over_read = |machine: usize, ctx: &mut MachineContext<'_>| -> Result<(), ModelError> {
+        let reads = if machine >= 5 { 64 } else { 1 };
+        for i in 0..reads {
+            ctx.read(Key::single(i))?;
+        }
+        Ok(())
     };
-
-    let over_read = |backend: &mut dyn AmpcBackend| {
-        backend.round(16, ConflictPolicy::KeepMin, |machine, ctx| {
-            let reads = if machine >= 5 { 64 } else { 1 };
-            for i in 0..reads {
-                ctx.read(Key::single(i))?;
-            }
-            Ok(())
-        })
+    let over_write = |machine: usize, ctx: &mut MachineContext<'_>| -> Result<(), ModelError> {
+        let writes = if machine >= 11 { 64 } else { 1 };
+        for i in 0..writes {
+            ctx.write(Key::single(machine as u64), Value::single(i))?;
+        }
+        Ok(())
     };
-    let over_write = |backend: &mut dyn AmpcBackend| {
-        backend.round(16, ConflictPolicy::KeepMin, |machine, ctx| {
-            let writes = if machine >= 11 { 64 } else { 1 };
-            for i in 0..writes {
-                ctx.write(Key::pair(machine as u64, i), Value::single(i))?;
-            }
-            Ok(())
-        })
-    };
-    let conflict = |backend: &mut dyn AmpcBackend| {
-        backend.round(16, ConflictPolicy::Error, |machine, ctx| {
-            ctx.write(Key::single(5), Value::single(machine as u64))
-        })
-    };
-
-    for runtime in parallel_matrix() {
-        let mut seq = RuntimeConfig::Sequential.backend(config, initial());
-        let mut par = runtime.backend(config, initial());
+    for error in round_errors(config, 16, over_read) {
         assert_eq!(
-            over_read(seq.as_mut()).unwrap_err(),
-            over_read(par.as_mut()).unwrap_err()
-        );
-        assert_eq!(
-            over_read(seq.as_mut()).unwrap_err(),
+            error,
             ModelError::ReadBudgetExceeded {
                 machine: 5,
                 budget: 4
             }
         );
-
-        let mut seq = RuntimeConfig::Sequential.backend(config, initial());
-        let mut par = runtime.backend(config, initial());
+    }
+    for error in round_errors(config, 16, over_write) {
         assert_eq!(
-            over_write(seq.as_mut()).unwrap_err(),
-            over_write(par.as_mut()).unwrap_err()
-        );
-        assert_eq!(
-            over_write(seq.as_mut()).unwrap_err(),
+            error,
             ModelError::WriteBudgetExceeded {
                 machine: 11,
                 budget: 4
             }
         );
-
-        let mut seq = RuntimeConfig::Sequential.backend(config, initial());
-        let mut par = runtime.backend(config, initial());
-        let a = conflict(seq.as_mut()).unwrap_err();
-        let b = conflict(par.as_mut()).unwrap_err();
-        assert_eq!(a, b);
-        assert!(matches!(a, ModelError::WriteConflict { .. }));
     }
 }

@@ -1,7 +1,7 @@
 //! The chaos equivalence matrix: with a deterministic fault plan injecting
 //! panics, stalls, merge failures, allocation pressure and worker aborts
-//! into the AMPC backends — and bounded retry replaying failed rounds —
-//! every workload, on every backend and thread count, still produces
+//! into the AMPC round engine — and bounded retry replaying failed rounds
+//! — every workload, at every thread count, still produces
 //! byte-identical colorings, partition trajectories, round counts and
 //! model-level metrics to the fault-free sequential reference.
 //!
@@ -33,9 +33,9 @@ const WORKLOADS: [Workload; 5] = [
 fn runtime_matrix() -> Vec<RuntimeConfig> {
     vec![
         RuntimeConfig::Sequential,
-        RuntimeConfig::parallel().with_threads(2).with_shards(1),
-        RuntimeConfig::parallel().with_threads(4).with_shards(8),
-        RuntimeConfig::parallel().with_threads(7).with_shards(3),
+        RuntimeConfig::parallel().with_threads(2),
+        RuntimeConfig::parallel().with_threads(4),
+        RuntimeConfig::parallel().with_threads(7),
     ]
 }
 
@@ -67,7 +67,7 @@ fn chaos_matrix_is_bit_identical_to_the_fault_free_reference() {
     // retry budget is generous because faults only fire on attempt 0 —
     // every retried attempt is clean by construction.
     // merge=1/5 because merge cells are keyed per *round* (machine slot
-    // u64::MAX), and each backend instance restarts its round numbering at
+    // u64::MAX), and each engine instance restarts its round numbering at
     // 0 after only a handful of rounds — for this seed the first firing
     // merge cell is round 1, well within every program.
     let plan = FaultPlan::parse(
@@ -126,8 +126,9 @@ fn chaos_matrix_is_bit_identical_to_the_fault_free_reference() {
 
     // -- Phase 4: the round deadline. A plan of pure stalls (40 ms each,
     // roughly one cell per round) trips a 20 ms deadline on attempt 0;
-    // the clean retry finishes far under it. The committed-then-detected
-    // rollback path of the sequential backend is exercised here too.
+    // the clean retry finishes far under it. An overrunning attempt is
+    // dropped before it commits at every thread count (threads = 1
+    // included), so no runtime needs a rollback path.
     faults::install(Some(
         FaultPlan::parse("seed=5,stall=1/40,stall_ms=40").expect("stall plan parses"),
     ));
@@ -155,7 +156,7 @@ fn chaos_matrix_is_bit_identical_to_the_fault_free_reference() {
         };
         for runtime in [
             RuntimeConfig::Sequential,
-            RuntimeConfig::parallel().with_threads(4).with_shards(8),
+            RuntimeConfig::parallel().with_threads(4),
         ] {
             let outcome = SparseColoring::new()
                 .algorithm(Algorithm::TwoAlphaPlusOne)

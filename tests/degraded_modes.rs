@@ -54,7 +54,7 @@ fn scalar_kernels_no_perf_and_faults_compose_bit_identically() {
 
     // Now light the third switch. Same seed rationale as the chaos
     // matrix: merge cells are per-round, so the rate must fire within the
-    // few rounds each backend instance actually runs.
+    // few rounds each engine instance actually runs.
     let counters_before = faults::counters();
     faults::install(Some(
         FaultPlan::parse("seed=11,panic=1/173,stall=1/151,stall_ms=1,merge=1/5,alloc=1/89")
@@ -65,8 +65,8 @@ fn scalar_kernels_no_perf_and_faults_compose_bit_identically() {
     for (workload, (graph, reference)) in workloads.iter().zip(&references) {
         for runtime in [
             RuntimeConfig::Sequential,
-            RuntimeConfig::parallel().with_threads(4).with_shards(8),
-            RuntimeConfig::parallel().with_threads(3).with_shards(0),
+            RuntimeConfig::parallel().with_threads(4),
+            RuntimeConfig::parallel().with_threads(3),
         ] {
             let outcome = SparseColoring::new()
                 .algorithm(Algorithm::TwoAlphaPlusOne)

@@ -130,18 +130,47 @@ fn partition_digests_match_the_reference_on_both_backends() {
         edges_per_node: 3,
     }
     .build(7);
+    // The servebench `powerlaw25k-m8-derand` partition shape.
+    let dense_power_law = Workload::PowerLaw {
+        n: 20_000,
+        edges_per_node: 8,
+    }
+    .build(7);
     let cases = [
-        ("forest-union", &forest, 5usize, 0x36dc_985c_1013_1326_u64),
-        ("power-law", &power_law, 8, 0x8be4_dd82_7d77_fe9f),
+        (
+            "forest-union",
+            &forest,
+            PartitionParams::new(5).with_x(4),
+            0x36dc_985c_1013_1326_u64,
+        ),
+        (
+            "power-law",
+            &power_law,
+            PartitionParams::new(8).with_x(4),
+            0x8be4_dd82_7d77_fe9f,
+        ),
+        (
+            "power-law-m8",
+            &dense_power_law,
+            PartitionParams::new(23).with_x(4),
+            0xfadf_5e6a_9afa_908d,
+        ),
+        (
+            "forest-union-peeling",
+            &forest,
+            PartitionParams::new(5).without_lca(),
+            0xb319_034a_5f90_5ab2,
+        ),
     ];
     let runtimes = [
         ampc_runtime::RuntimeConfig::Sequential,
         ampc_runtime::RuntimeConfig::parallel().with_threads(2),
+        ampc_runtime::RuntimeConfig::parallel().with_threads(4),
     ];
     let mut mismatches = Vec::new();
-    for (name, graph, beta, expected) in cases {
+    for (name, graph, params, expected) in cases {
         for runtime in runtimes {
-            let params = PartitionParams::new(beta).with_x(4).with_runtime(runtime);
+            let params = params.with_runtime(runtime);
             let actual = partition_digest(graph, &params);
             if actual != expected {
                 mismatches.push(format!(

@@ -95,7 +95,7 @@ fn served_colorings_are_bit_identical_to_direct_calls() {
                     let request = ColorRequest {
                         algorithm: Algorithm::Auto,
                         alpha: Some(alpha),
-                        runtime: RuntimeConfig::parallel().with_threads(3).with_shards(8),
+                        runtime: RuntimeConfig::parallel().with_threads(3),
                         ..ColorRequest::default()
                     };
                     let direct = SparseColoring::color_request(&graph, &request)
@@ -103,7 +103,7 @@ fn served_colorings_are_bit_identical_to_direct_calls() {
                     let expected = Arc::new(direct.coloring.colors().to_vec());
 
                     let target = format!(
-                        "/v1/color?algorithm=auto&alpha={alpha}&runtime=parallel&threads=3&shards=8&min_nodes={}",
+                        "/v1/color?algorithm=auto&alpha={alpha}&runtime=parallel&threads=3&min_nodes={}",
                         graph.num_nodes()
                     );
                     let (status, body) = http(addr, "POST", &target, &write_edge_list(&graph));
@@ -198,7 +198,7 @@ fn job_trace_is_served_as_chrome_trace_json() {
     let workload = Workload::PlanarGrid { side: 10 };
     let graph = workload.build(7);
     let target = format!(
-        "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime=parallel&threads=3&shards=8&wait=1&min_nodes={}",
+        "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime=parallel&threads=3&wait=1&min_nodes={}",
         workload.alpha_bound(),
         graph.num_nodes()
     );
@@ -233,7 +233,7 @@ fn ten_job_sequence_spawns_no_per_round_threads() {
     for seed in 0..10u64 {
         let graph = Workload::ForestUnion { n: 200, k: 2 }.build(seed);
         let target = format!(
-            "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=parallel&threads=4&shards=8&wait=1&min_nodes={}",
+            "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=parallel&threads=4&wait=1&min_nodes={}",
             graph.num_nodes()
         );
         let (status, body) = http(addr, "POST", &target, &write_edge_list(&graph));
@@ -258,7 +258,7 @@ fn ten_job_sequence_spawns_no_per_round_threads() {
     // Identical resubmission: served from the cache without recomputation.
     let graph = Workload::ForestUnion { n: 200, k: 2 }.build(3);
     let target = format!(
-        "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=parallel&threads=4&shards=8&wait=1&min_nodes={}",
+        "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=parallel&threads=4&wait=1&min_nodes={}",
         graph.num_nodes()
     );
     let (_, before) = http(addr, "GET", "/metrics", "");
