@@ -1,15 +1,33 @@
 //! Plain-text edge-list parsing and writing.
 //!
-//! Two entry points share one line-level parser: [`parse_edge_list`] for
-//! in-memory text and [`read_edge_list`] for streaming sources (a file, a
-//! socket body) via any [`BufRead`] — the serving subsystem feeds HTTP
-//! request bodies through the latter without buffering the whole graph
-//! twice.
+//! [`parse_edge_list`], [`read_edge_list`] and [`read_edge_list_bounded`]
+//! share one parser. It takes a [`BufRead`] source's buffers through
+//! `fill_buf`/`consume` and reads each line where it lies; only a line
+//! split across two buffers is copied, into one carry buffer. A line of the
+//! plain form `digits ' ' digits '\n'` (as [`write_edge_list`] writes edges)
+//! is folded straight from the bytes; any other line is decoded as UTF-8
+//! and read as a `&str`.
+//!
+//! The grammar, line by line (lines end at `\n` and count from 1):
+//!
+//! * Whitespace is what `char::is_whitespace` accepts: in ASCII the six
+//!   bytes `\t \n \x0B \x0C \r` and space, beyond it Unicode spaces such as
+//!   a no-break space. It trims a line and separates its tokens.
+//! * Blank lines, lines starting with `#` or `%`, and DIMACS comments (a
+//!   lone `c`, or `c` then a space or tab) are skipped.
+//! * Any other line is two node ids separated by whitespace. A node id is
+//!   what `str::parse::<usize>` accepts: ASCII digits after an optional `+`.
+//! * Errors, first match wins: an invalid first id (including overflow), a
+//!   missing second id, an invalid second id, a third token, then an id at
+//!   or above the node cap.
+//! * A line that is not UTF-8 is [`ParseEdgeListError::Io`] at that line,
+//!   as is a failing reader at the line it was reading.
 
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, ErrorKind};
 
 use crate::csr::CsrGraph;
+use crate::types::Edge;
 
 /// Error returned by [`parse_edge_list`] and [`read_edge_list`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,60 +119,39 @@ impl fmt::Display for ParseEdgeListError {
 
 impl std::error::Error for ParseEdgeListError {}
 
-/// Incremental edge-list reader: feed lines, then [`finish`].
-///
-/// Comment lines (`#`, `%` or `c` prefixes, the latter as used by DIMACS
-///-style files) and blank lines are ignored.
-///
-/// [`finish`]: EdgeListReader::finish
-#[derive(Debug)]
-pub struct EdgeListReader {
-    edges: Vec<(usize, usize)>,
-    max_node: usize,
-    has_nodes: bool,
+/// The edges read so far, the node count they imply and the lines read.
+#[derive(Debug, Default)]
+struct EdgeListReader {
+    edges: Vec<Edge>,
+    /// `max id + 1` (no overflow: every id is below `node_limit`).
+    nodes: usize,
     lines_seen: usize,
     node_limit: usize,
 }
 
-impl Default for EdgeListReader {
-    fn default() -> Self {
-        EdgeListReader::new()
-    }
-}
-
 impl EdgeListReader {
-    /// Creates an empty reader accepting any node id.
-    pub fn new() -> Self {
-        EdgeListReader {
-            edges: Vec::new(),
-            max_node: 0,
-            has_nodes: false,
-            lines_seen: 0,
-            node_limit: usize::MAX,
+    /// Parses the line at the front of `bytes` and returns the length of the
+    /// line and its `\n`, or `None` if `bytes` ends before the `\n`.
+    fn line(&mut self, bytes: &[u8]) -> Result<Option<usize>, ParseEdgeListError> {
+        if let Some((used, (u, v))) = plain_line(bytes) {
+            self.lines_seen += 1;
+            self.push(u, v)?;
+            return Ok(Some(used));
         }
+        let Some(eol) = bytes.iter().position(|&b| b == b'\n') else {
+            return Ok(None);
+        };
+        // The message is std's, as `BufRead::lines` reported it.
+        let text = std::str::from_utf8(&bytes[..eol]).map_err(|_| ParseEdgeListError::Io {
+            line: self.lines_seen + 1,
+            message: "stream did not contain valid UTF-8".to_string(),
+        })?;
+        self.push_line(text)?;
+        Ok(Some(eol + 1))
     }
 
-    /// Rejects node ids `>= limit` with
-    /// [`ParseEdgeListError::NodeIdOutOfRange`] instead of accepting them —
-    /// required when the input is untrusted, since the node count (and the
-    /// adjacency allocation) is `max id + 1`.
-    pub fn with_node_limit(mut self, limit: usize) -> Self {
-        self.node_limit = limit;
-        self
-    }
-
-    /// Number of (non-comment) edges accepted so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Consumes one line of input.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseEdgeListError`] if the line is malformed; the
-    /// reader's prior state is unaffected, so the caller may skip or abort.
-    pub fn push_line(&mut self, raw_line: &str) -> Result<(), ParseEdgeListError> {
+    /// Reads one line by the grammar in the module docs.
+    fn push_line(&mut self, raw_line: &str) -> Result<(), ParseEdgeListError> {
         self.lines_seen += 1;
         let line_number = self.lines_seen;
         let line = raw_line.trim();
@@ -181,44 +178,54 @@ impl EdgeListReader {
         if parts.next().is_some() {
             return Err(ParseEdgeListError::TrailingTokens { line: line_number });
         }
+        self.push(u, v)
+    }
+
+    /// Accepts the current line's edge unless an id breaks the node limit.
+    fn push(&mut self, u: usize, v: usize) -> Result<(), ParseEdgeListError> {
         if let Some(&id) = [u, v].iter().find(|&&id| id >= self.node_limit) {
             return Err(ParseEdgeListError::NodeIdOutOfRange {
-                line: line_number,
+                line: self.lines_seen,
                 id,
                 limit: self.node_limit,
             });
         }
-        self.max_node = self.max_node.max(u).max(v);
-        self.has_nodes = true;
+        self.nodes = self.nodes.max(u + 1).max(v + 1);
         self.edges.push((u, v));
         Ok(())
     }
 
-    /// Builds the graph from everything read so far. The node count is
-    /// `max id + 1` unless a larger `min_nodes` is given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the largest node id is `usize::MAX` (impossible under a
-    /// [`node limit`](EdgeListReader::with_node_limit)).
-    pub fn finish(self, min_nodes: usize) -> CsrGraph {
-        let n = if self.has_nodes {
-            self.max_node
-                .checked_add(1)
-                .expect("node id overflows the node count")
-        } else {
-            0
-        }
-        .max(min_nodes);
-        CsrGraph::from_edge_vec(n, self.edges)
+    /// Builds the graph on `max id + 1` nodes, or `min_nodes` if larger.
+    fn finish(self, min_nodes: usize) -> CsrGraph {
+        CsrGraph::from_edge_vec(self.nodes.max(min_nodes), self.edges)
     }
 }
 
-/// Parses a whitespace-separated edge list held in memory.
-///
-/// * Empty lines and lines starting with `#`, `%` or `c` are ignored.
-/// * Each remaining line must contain two node ids.
-/// * The node count is `max id + 1` unless a larger `min_nodes` is given.
+/// The fast path of the parser: the line at the front of `bytes` in the
+/// plain form `digits ' ' digits '\n'` (as [`write_edge_list`] writes
+/// edges), as its length and edge. Any other line gives `None` and is read
+/// by [`EdgeListReader::push_line`], which gives a plain line the same edge.
+fn plain_line(bytes: &[u8]) -> Option<(usize, Edge)> {
+    let (u, at) = plain_id(bytes, 0, b' ')?;
+    let (v, at) = plain_id(bytes, at, b'\n')?;
+    Some((at, (u, v)))
+}
+
+/// Folds the digits at `bytes[start..]` into an id that the byte `end`
+/// must follow, returning the id and the index past `end`.
+fn plain_id(bytes: &[u8], start: usize, end: u8) -> Option<(usize, usize)> {
+    let mut at = start;
+    let mut id = 0usize;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
+        id = id.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
+        at += 1;
+    }
+    (at > start && bytes.get(at) == Some(&end)).then_some((id, at + 1))
+}
+
+/// Parses a whitespace-separated edge list held in memory, by the line
+/// grammar set out at the top of `io.rs`. The node count is `max id + 1`
+/// unless a larger `min_nodes` is given.
 ///
 /// # Errors
 ///
@@ -234,11 +241,7 @@ impl EdgeListReader {
 /// # Ok::<(), sparse_graph::ParseEdgeListError>(())
 /// ```
 pub fn parse_edge_list(text: &str, min_nodes: usize) -> Result<CsrGraph, ParseEdgeListError> {
-    let mut reader = EdgeListReader::new();
-    for line in text.lines() {
-        reader.push_line(line)?;
-    }
-    Ok(reader.finish(min_nodes))
+    read_edge_list(text.as_bytes(), min_nodes)
 }
 
 /// Streams a whitespace-separated edge list from any [`BufRead`] source
@@ -264,17 +267,48 @@ pub fn read_edge_list<R: BufRead>(
 ///
 /// As [`read_edge_list`], plus [`ParseEdgeListError::NodeIdOutOfRange`].
 pub fn read_edge_list_bounded<R: BufRead>(
-    reader: R,
+    mut reader: R,
     min_nodes: usize,
     max_nodes: usize,
 ) -> Result<CsrGraph, ParseEdgeListError> {
-    let mut parser = EdgeListReader::new().with_node_limit(max_nodes);
-    for line in reader.lines() {
-        let line = line.map_err(|error| ParseEdgeListError::Io {
-            line: parser.lines_seen + 1,
-            message: error.to_string(),
-        })?;
-        parser.push_line(&line)?;
+    let mut parser = EdgeListReader {
+        node_limit: max_nodes,
+        ..EdgeListReader::default()
+    };
+    // The front of a line that the previous buffer ended inside.
+    let mut carry = Vec::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(buf) => buf,
+            Err(error) if error.kind() == ErrorKind::Interrupted => continue,
+            Err(error) => {
+                let (line, message) = (parser.lines_seen + 1, error.to_string());
+                return Err(ParseEdgeListError::Io { line, message });
+            }
+        };
+        let mut at = 0;
+        if !carry.is_empty() {
+            at = buf
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(buf.len(), |eol| eol + 1);
+            carry.extend_from_slice(&buf[..at]);
+            if carry.ends_with(b"\n") {
+                parser.line(&carry)?;
+                carry.clear();
+            }
+        }
+        while let Some(used) = parser.line(&buf[at..])? {
+            at += used;
+        }
+        carry.extend_from_slice(&buf[at..]);
+        let len = buf.len();
+        reader.consume(len);
+    }
+    if !carry.is_empty() {
+        carry.push(b'\n');
+        parser.line(&carry)?;
     }
     Ok(parser.finish(min_nodes))
 }
@@ -297,6 +331,193 @@ pub fn write_edge_list(graph: &CsrGraph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{self, Read};
+
+    /// A reader without a node cap, and its edge count.
+    impl EdgeListReader {
+        fn new() -> Self {
+            EdgeListReader {
+                node_limit: usize::MAX,
+                ..EdgeListReader::default()
+            }
+        }
+
+        fn num_edges(&self) -> usize {
+            self.edges.len()
+        }
+    }
+
+    /// The per-line reading the byte-level loop replaced, kept as its
+    /// oracle: `BufRead::lines`, one `String` per line, into
+    /// [`EdgeListReader::push_line`].
+    fn read_lines_oracle<R: BufRead>(
+        reader: R,
+        max_nodes: usize,
+    ) -> Result<CsrGraph, ParseEdgeListError> {
+        let mut parser = EdgeListReader {
+            node_limit: max_nodes,
+            ..EdgeListReader::default()
+        };
+        for line in reader.lines() {
+            let line = line.map_err(|error| ParseEdgeListError::Io {
+                line: parser.lines_seen + 1,
+                message: error.to_string(),
+            })?;
+            parser.push_line(&line)?;
+        }
+        Ok(parser.finish(0))
+    }
+
+    /// A source that hands out 1–7 bytes per buffer, answers every other
+    /// `fill_buf` with `Interrupted`, and fails for good once `fail_at`
+    /// bytes have been consumed.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        step: usize,
+        fail_at: usize,
+        interrupt: bool,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(bytes: &'a [u8], step: usize, fail_at: usize) -> Self {
+            Trickle {
+                bytes,
+                at: 0,
+                step,
+                fail_at,
+                interrupt: false,
+            }
+        }
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let buf = self.fill_buf()?;
+            let n = buf.len().min(out.len());
+            out[..n].copy_from_slice(&buf[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Trickle<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.at >= self.fail_at {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "connection reset",
+                ));
+            }
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let chunk = 1 + (self.at * 13 + self.step) % 7;
+            let end = (self.at + chunk).min(self.fail_at).min(self.bytes.len());
+            Ok(&self.bytes[self.at..end])
+        }
+
+        fn consume(&mut self, amount: usize) {
+            self.at += amount;
+        }
+    }
+
+    /// The byte-level parser against the per-line oracle on 2,000 fuzzed
+    /// bodies: mutated valid documents and byte soup over digits, `+ - # %
+    /// c`, the six whitespace bytes, a no-break space and a bare `\xff`.
+    /// Every body is read whole and through 1–7-byte buffers, so each token
+    /// and each `\r\n` straddles a buffer edge somewhere, and once more
+    /// through a reader that fails part-way. Graphs must be equal, or
+    /// errors equal in variant, line and token.
+    #[test]
+    fn byte_parser_matches_the_line_parser_oracle() {
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 33) as usize
+        };
+        let mut pieces: Vec<&[u8]> = b"0123456789+-#%c\t\n\x0B\x0C\r ".chunks(1).collect();
+        pieces.extend(["\u{a0}".as_bytes(), &b"\xff"[..]]);
+        let overflow: [&[u8]; 2] = [b"18446744073709551615", b"18446744073709551616"];
+        let valid = "# header\r\nc comment\n0 1\n+1 2\r\n\t2  3 \n% x\n3\x0B4\n\n  4\x0C5\n\
+                     c\n6\u{a0}7\n# caf\u{e9}\n012 7\r\n8 9";
+        for case in 0..2000 {
+            let body: Vec<u8> = if case % 2 == 0 {
+                let mut bytes = valid.as_bytes().to_vec();
+                for _ in 0..=(next() % 6) {
+                    let at = next() % (bytes.len() + 1);
+                    let piece = if next() % 16 == 0 {
+                        overflow[next() % 2]
+                    } else {
+                        pieces[next() % pieces.len()]
+                    };
+                    match next() % 3 {
+                        0 if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        1 if at < bytes.len() => {
+                            bytes.splice(at..at + 1, piece.iter().copied());
+                        }
+                        _ => {
+                            bytes.splice(at..at, piece.iter().copied());
+                        }
+                    }
+                }
+                bytes
+            } else {
+                (0..next() % 48)
+                    .flat_map(|_| pieces[next() % pieces.len()].iter().copied())
+                    .collect()
+            };
+            // A roomy cap as well as tight ones; ids past it would make an
+            // unbounded parse allocate that many nodes.
+            const ROOMY: usize = 1 << 20;
+            let limit = if next() % 4 == 0 {
+                ROOMY
+            } else {
+                1 + next() % 16
+            };
+            let step = next();
+
+            let expected = read_lines_oracle(body.as_slice(), limit);
+            assert_eq!(
+                read_edge_list_bounded(body.as_slice(), 0, limit),
+                expected,
+                "case {case}: whole body {body:?}"
+            );
+            assert_eq!(
+                read_edge_list_bounded(Trickle::new(&body, step, usize::MAX), 0, limit),
+                expected,
+                "case {case}: trickled body {body:?}"
+            );
+            // `parse_edge_list` has no node cap: it only gets the bodies whose
+            // ids fit the roomy one.
+            let text = std::str::from_utf8(&body).ok().filter(|_| {
+                !matches!(
+                    read_lines_oracle(body.as_slice(), ROOMY),
+                    Err(ParseEdgeListError::NodeIdOutOfRange { .. })
+                )
+            });
+            if let Some(text) = text {
+                let mut oracle = EdgeListReader::new();
+                let expected = text
+                    .lines()
+                    .try_for_each(|line| oracle.push_line(line))
+                    .map(|()| oracle.finish(0));
+                assert_eq!(parse_edge_list(text, 0), expected, "case {case}: {text:?}");
+            }
+
+            let fail_at = next() % (body.len() + 1);
+            assert_eq!(
+                read_edge_list_bounded(Trickle::new(&body, step, fail_at), 0, limit),
+                read_lines_oracle(Trickle::new(&body, step, fail_at), limit),
+                "case {case}: reader failing after {fail_at} bytes of {body:?}"
+            );
+        }
+    }
 
     #[test]
     fn parses_comments_and_blank_lines() {

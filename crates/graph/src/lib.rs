@@ -66,8 +66,7 @@ pub use csr::CsrGraph;
 pub use degeneracy::{core_numbers, degeneracy, degeneracy_ordering, DegeneracyDecomposition};
 pub use forest::{forest_decomposition, ForestDecomposition};
 pub use io::{
-    parse_edge_list, read_edge_list, read_edge_list_bounded, write_edge_list, EdgeListReader,
-    ParseEdgeListError,
+    parse_edge_list, read_edge_list, read_edge_list_bounded, write_edge_list, ParseEdgeListError,
 };
 pub use orientation::Orientation;
 pub use relabel::{relabel, NodePermutation, RelabelPolicy};

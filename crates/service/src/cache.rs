@@ -3,7 +3,7 @@
 //! Jobs are bucketed by a deterministic 64-bit hash of `(graph, config)`,
 //! but every claim verifies the *actual* graph and spec against an exact,
 //! compact copy of the stored entry's inputs — a hash collision
-//! (accidental or attacker-crafted, FNV is not collision-resistant)
+//! (accidental or attacker-crafted, the key is not collision-resistant)
 //! therefore computes separately instead of serving the wrong coloring. The first submission of an entry claims the
 //! computation; later identical submissions either wait on the in-flight
 //! computation (coalescing — the work runs **once**) or are served the
@@ -69,7 +69,7 @@ impl GraphCopy {
         upper_offsets.push(0);
         for u in graph.nodes() {
             // Node ids fit in `u32`: the HTTP layer caps every request at
-            // `ServiceConfig::max_graph_nodes` (2^22 by default) nodes.
+            // `ServiceConfig::max_graph_nodes` nodes, at most 2^32.
             upper.extend(
                 upper_row(graph, u)
                     .iter()

@@ -166,27 +166,6 @@ impl RequestHead {
     pub fn into_pipelined(self) -> Vec<u8> {
         self.pipelined
     }
-
-    /// Reads the whole body into memory (for small bodies / tests).
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::Io`] if the socket ends before `Content-Length` bytes.
-    pub fn read_body(&mut self, stream: &mut TcpStream) -> Result<Vec<u8>, HttpError> {
-        let expected = self.content_length;
-        let mut body = Vec::with_capacity(expected.min(1 << 20));
-        self.body_reader(stream)
-            .read_to_end(&mut body)
-            .map_err(|error| HttpError::Io(error.to_string()))?;
-        if body.len() < expected {
-            return Err(HttpError::Io(format!(
-                "body ended after {} of {} bytes",
-                body.len(),
-                expected
-            )));
-        }
-        Ok(body)
-    }
 }
 
 /// The streaming request-body reader: leftover bytes buffered with the
@@ -692,7 +671,11 @@ mod tests {
         .unwrap();
         assert_eq!(head.method, "POST");
         assert!(!head.close, "HTTP/1.1 defaults to keep-alive");
-        assert_eq!(head.read_body(&mut server_side).unwrap(), b"0 1\n");
+        let mut body = Vec::new();
+        head.body_reader(&mut server_side)
+            .read_to_end(&mut body)
+            .unwrap();
+        assert_eq!(body, b"0 1\n");
         assert!(head.drain(&mut server_side), "body fully consumed");
         assert_eq!(head.unread_body_bytes(), 0);
         let carry = head.into_pipelined();

@@ -16,7 +16,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ampc_coloring::{Algorithm, ColorRequest, ColoringOutcome, SparseColoring};
+use ampc_coloring::{ColorRequest, ColoringOutcome, SparseColoring};
 use ampc_model::ConflictPolicy;
 use ampc_runtime::trace::{LatencyHistogram, TraceContext, TraceTimeline};
 use ampc_runtime::RuntimeConfig;
@@ -42,6 +42,8 @@ pub struct ServiceConfig {
     /// must not be able to demand an arbitrarily large allocation). The
     /// HTTP layer additionally caps each request proportionally to its
     /// body size, so this is the ceiling for the largest bodies only.
+    /// At most [`MAX_GRAPH_NODES`] (2^32): the result cache keeps node ids
+    /// as `u32`, so [`JobManager::new`] clamps a larger value.
     pub max_graph_nodes: usize,
     /// Ready results retained by the cache (FIFO eviction beyond this).
     pub cache_capacity: usize,
@@ -111,6 +113,10 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+/// The largest [`ServiceConfig::max_graph_nodes`] in force: node ids stay
+/// below 2^32, the bound of the result cache's `u32` graph copy.
+pub const MAX_GRAPH_NODES: usize = (u32::MAX as usize).saturating_add(1);
 
 /// Everything that identifies a coloring job (and therefore its cache key).
 #[derive(Debug, Clone, Copy)]
@@ -458,8 +464,10 @@ impl std::fmt::Debug for JobManager {
 }
 
 impl JobManager {
-    /// Spawns the persistent job workers and returns the manager.
-    pub fn new(config: ServiceConfig) -> Self {
+    /// Spawns the persistent job workers and returns the manager, with
+    /// `max_graph_nodes` clamped to [`MAX_GRAPH_NODES`].
+    pub fn new(mut config: ServiceConfig) -> Self {
+        config.max_graph_nodes = config.max_graph_nodes.min(MAX_GRAPH_NODES);
         // The round deadline lives in the runtime (it gates the round
         // engine's attempt loop); only a nonzero config value overrides the
         // `AMPC_ROUND_DEADLINE_MS` environment setting.
@@ -714,9 +722,9 @@ fn view_of(id: u64, record: &JobRecord) -> JobView {
 /// rendered as 16 hex digits. Stable across restarts for the same id,
 /// echoed in job JSON and the `X-Trace-Id` response header.
 pub fn trace_id(job_id: u64) -> String {
-    let mut hash = Fnv::new();
-    hash.write_u64(job_id);
-    format!("{:016x}", hash.finish())
+    let fnv = |hash: u64, &byte: &u8| (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+    let hash = job_id.to_le_bytes().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+    format!("{hash:016x}")
 }
 
 fn worker_loop(shared: Arc<ManagerShared>, queue_rx: Arc<Mutex<Receiver<QueueItem>>>) {
@@ -860,85 +868,41 @@ fn worker_loop(shared: Arc<ManagerShared>, queue_rx: Arc<Mutex<Receiver<QueueIte
     }
 }
 
-/// Deterministic FNV-1a hash identifying `(graph, spec)` — the cache key.
+/// Deterministic hash identifying `(graph, spec)` — the cache key: one
+/// rotate-xor-multiply step per word of `n`, `m`, each CSR row's length and
+/// neighbours, then the spec (claims still compare the graph itself).
 pub fn job_key(graph: &CsrGraph, spec: &JobSpec) -> u64 {
-    let mut hash = Fnv::new();
-    hash.write_usize(graph.num_nodes());
-    hash.write_usize(graph.num_edges());
-    for (u, v) in graph.edges() {
-        hash.write_usize(u);
-        hash.write_usize(v);
+    let mut hash = 0u64;
+    let mut write = |word: u64| {
+        hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    };
+    write(graph.num_nodes() as u64);
+    write(graph.num_edges() as u64);
+    for u in graph.nodes() {
+        let row = graph.neighbors(u);
+        write(row.len() as u64);
+        row.iter().for_each(|&v| write(v as u64));
     }
-    hash.write_u64(algorithm_tag(spec.request.algorithm));
-    match spec.request.alpha {
-        None => hash.write_u64(0),
-        Some(alpha) => {
-            hash.write_u64(1);
-            hash.write_usize(alpha);
-        }
+    let request = &spec.request;
+    write(request.algorithm as u64);
+    write(u64::from(request.alpha.is_some()));
+    write(request.alpha.unwrap_or(0) as u64);
+    write(request.epsilon.to_bits());
+    write(request.delta.to_bits());
+    write(request.max_partition_rounds as u64);
+    match request.runtime {
+        RuntimeConfig::Sequential => write(0),
+        RuntimeConfig::Parallel { threads } => write(threads.map_or(1, |t| t as u64 + 2)),
     }
-    hash.write_u64(spec.request.epsilon.to_bits());
-    hash.write_u64(spec.request.delta.to_bits());
-    hash.write_usize(spec.request.max_partition_rounds);
-    match spec.request.runtime {
-        RuntimeConfig::Sequential => hash.write_u64(0),
-        RuntimeConfig::Parallel { threads } => {
-            hash.write_u64(1);
-            hash.write_u64(threads.map_or(0, |t| t as u64 + 1));
-        }
-    }
-    hash.write_u64(policy_tag(spec.policy));
-    hash.finish()
-}
-
-/// Stable numeric tag of an algorithm variant (cache-key component).
-fn algorithm_tag(algorithm: Algorithm) -> u64 {
-    match algorithm {
-        Algorithm::Auto => 0,
-        Algorithm::AlphaPower => 1,
-        Algorithm::AlphaSquared => 2,
-        Algorithm::TwoAlphaPlusOne => 3,
-        Algorithm::LargeArboricity => 4,
-    }
-}
-
-/// Stable numeric tag of a conflict policy (cache-key component).
-fn policy_tag(policy: ConflictPolicy) -> u64 {
-    match policy {
-        ConflictPolicy::KeepMin => 0,
-        ConflictPolicy::KeepMax => 1,
-        ConflictPolicy::KeepFirst => 2,
-        ConflictPolicy::Error => 3,
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    write(spec.policy as u64);
+    hash
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse_graph::generators;
+    use ampc_coloring::Algorithm;
+    use sparse_graph::{generators, read_edge_list_bounded};
 
     fn small_graph(side: usize) -> Arc<CsrGraph> {
         Arc::new(generators::triangulated_grid(side, side))
@@ -1183,6 +1147,52 @@ mod tests {
             ..base
         };
         assert_ne!(job_key(&g1, &base), job_key(&g1, &parallel));
+    }
+
+    #[test]
+    fn one_graph_gets_one_key_from_every_body() {
+        let bodies = [
+            "0 1\n1 2\n2 3\n3 0\n0 2\n",
+            // reordered, and endpoints swapped
+            "2 0\n3 0\n3 2\n1 2\n1 0\n",
+            // duplicated
+            "0 1\n0 1\n1 0\n1 2\n2 3\n3 0\n0 2\n2 0\n",
+            // self-looped
+            "0 1\n1 1\n1 2\n2 2\n2 3\n3 0\n0 2\n",
+            // `+`-prefixed
+            "+0 +1\n+1 2\n2 +3\n3 0\n0 2\n",
+            // comments, CRLF, tabs and no final newline
+            "# square\r\nc diagonal\n0\t1\r\n 1  2 \n\n2 3\n3 0\n0 2",
+        ];
+        let key = |body: &str, min_nodes: usize| {
+            let graph = read_edge_list_bounded(body.as_bytes(), min_nodes, 4096).unwrap();
+            job_key(&graph, &spec())
+        };
+        let keys: Vec<u64> = bodies.iter().map(|body| key(body, 0)).collect();
+        assert!(keys.iter().all(|&k| k == keys[0]), "{keys:?}");
+        // One edge or one isolated node more is another graph.
+        assert_ne!(key("0 1\n1 2\n2 3\n3 0\n0 2\n1 3\n", 0), keys[0]);
+        assert_ne!(key(bodies[0], 5), keys[0]);
+    }
+
+    #[test]
+    fn max_graph_nodes_is_clamped_to_the_u32_bound() {
+        // Above 2^32 nodes the cache's `u32` graph copy would panic inside
+        // `claim`, under the cache lock.
+        let clamped = JobManager::new(ServiceConfig {
+            workers: 1,
+            max_graph_nodes: usize::MAX,
+            ..ServiceConfig::default()
+        });
+        assert_eq!(clamped.config().max_graph_nodes, MAX_GRAPH_NODES);
+        assert_eq!(MAX_GRAPH_NODES as u64, 1 << 32);
+        assert!(u32::try_from(MAX_GRAPH_NODES - 1).is_ok());
+        let kept = JobManager::new(ServiceConfig {
+            workers: 1,
+            max_graph_nodes: 1 << 20,
+            ..ServiceConfig::default()
+        });
+        assert_eq!(kept.config().max_graph_nodes, 1 << 20);
     }
 
     #[test]
