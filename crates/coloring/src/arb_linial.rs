@@ -172,44 +172,36 @@ fn best_degree(palette: usize, beta: usize) -> Result<usize, ArbLinialError> {
     }
 }
 
-/// Per-worker scratch of one reduction round: the node's own polynomial
+/// Per-chunk scratch of one reduction round: the node's own polynomial
 /// coefficients plus its out-neighbors' polynomials flattened with stride
-/// `d + 1`. Leased from the context's scratch registry, so the per-node /
-/// per-neighbor `Vec` allocations of the old decoding are gone in steady
-/// state.
+/// `d + 1`. Leased once per chunk from the context's scratch registry and
+/// cleared per node, so the per-node / per-neighbor `Vec` allocations of
+/// the old decoding are gone in steady state.
 #[derive(Debug, Default)]
 struct PolyScratch {
     own: Vec<u64>,
     neighbors: Vec<u64>,
 }
 
-/// One round of the polynomial reduction: maps a proper `m`-coloring to a
-/// proper `q²`-coloring where `q` is the smallest prime satisfying
-/// `q ≥ d·β + 1` and `q^{d+1} ≥ m`.
+/// One round of the polynomial reduction with prime `q` and polynomial
+/// degree `d`, as chosen by [`reduction_prime`]: maps a proper
+/// `m`-coloring with `q^{d+1} ≥ m` to a proper `q²`-coloring, since
+/// `q > d·β` leaves every node an evaluation point that no out-neighbor
+/// covers.
 ///
 /// Every node's new color is a pure function of its own and its
 /// out-neighbors' current colors, so the per-node loop fans out over the
 /// worker pool; results are written into the caller-owned `out` buffer
 /// (recycled across rounds) in node order.
-///
-/// Returns the new palette size `q²`.
-#[allow(clippy::too_many_arguments)]
 fn reduction_round_into(
     graph: &CsrGraph,
     orientation: &Orientation,
     colors: &[usize],
-    palette: usize,
-    beta: usize,
-    degree_d: usize,
+    q: usize,
+    d: usize,
     primitives: &RoundPrimitives,
     out: &mut Vec<usize>,
-) -> Result<usize, ArbLinialError> {
-    let d = degree_d.max(1);
-    // q must exceed d * beta (so that at most d*beta evaluation points are
-    // "covered" by out-neighbors) and q^{d+1} must reach the palette so that
-    // distinct colors map to distinct polynomials.
-    let q = reduction_prime(palette, beta, d)? as usize;
-
+) {
     // Coefficients of color c: its base-q digits (d+1 of them), appended to
     // a reused buffer.
     let decode_into = |c: usize, digits: &mut Vec<u64>| {
@@ -238,42 +230,44 @@ fn reduction_round_into(
     primitives.par_node_map_weighted_into(
         graph.num_nodes(),
         |v| orientation.out_degree(v),
-        |v| {
+        || {
             let mut lease = scratch.lease();
-            let PolyScratch { own, neighbors } = &mut *lease;
-            own.clear();
-            decode_into(colors[v], own);
-            neighbors.clear();
-            let out = orientation.out_neighbors(v);
-            for (at, &u) in out.iter().enumerate() {
-                // The color gather is scattered even though the out-list
-                // streams sequentially; prefetch a few iterations ahead to
-                // hide the latency on wide orientations.
-                if let Some(&ahead) = out.get(at + simd::PREFETCH_LOOKAHEAD) {
-                    simd::prefetch_read(colors, ahead);
+            move |v| {
+                let PolyScratch { own, neighbors } = &mut *lease;
+                own.clear();
+                decode_into(colors[v], own);
+                neighbors.clear();
+                let out = orientation.out_neighbors(v);
+                for (at, &u) in out.iter().enumerate() {
+                    // The color gather is scattered even though the
+                    // out-list streams sequentially; prefetch a few
+                    // iterations ahead to hide the latency on wide
+                    // orientations.
+                    if let Some(&ahead) = out.get(at + simd::PREFETCH_LOOKAHEAD) {
+                        simd::prefetch_read(colors, ahead);
+                    }
+                    decode_into(colors[u], neighbors);
                 }
-                decode_into(colors[u], neighbors);
-            }
-            let mut chosen = None;
-            for a in 0..q as u64 {
-                let own_value = evaluate(own, a);
-                let clashes = neighbors
-                    .chunks_exact(d + 1)
-                    .any(|poly| evaluate(poly, a) == own_value);
-                if !clashes {
-                    chosen = Some((a, own_value));
-                    break;
+                let mut chosen = None;
+                for a in 0..q as u64 {
+                    let own_value = evaluate(own, a);
+                    let clashes = neighbors
+                        .chunks_exact(d + 1)
+                        .any(|poly| evaluate(poly, a) == own_value);
+                    if !clashes {
+                        chosen = Some((a, own_value));
+                        break;
+                    }
                 }
+                let (a, value) = chosen.expect(
+                    "a conflict-free evaluation point exists because q > d * beta \
+                 bounds the number of covered points",
+                );
+                (a as usize) * q + value as usize
             }
-            let (a, value) = chosen.expect(
-                "a conflict-free evaluation point exists because q > d * beta \
-             bounds the number of covered points",
-            );
-            (a as usize) * q + value as usize
         },
         out,
     );
-    Ok(q * q)
 }
 
 /// Runs the Arb-Linial algorithm on top of an acyclic orientation until the
@@ -311,8 +305,8 @@ pub fn arb_linial_coloring_with_runtime(
 
     let mut trajectory = vec![palette];
     let mut rounds = 0usize;
-    // The round output buffer, swapped with `colors` after every accepted
-    // round — one allocation for the whole run instead of one per round.
+    // The round output buffer, swapped with `colors` after every round —
+    // one allocation for the whole run instead of one per round.
     let mut next_colors: Vec<usize> = Vec::new();
 
     loop {
@@ -324,25 +318,27 @@ pub fn arb_linial_coloring_with_runtime(
             .with_arg("round", rounds as u64)
             .with_arg("palette", palette as u64);
         let degree = best_degree(palette, beta)?;
-        let new_palette = reduction_round_into(
-            graph,
-            orientation,
-            &colors,
-            palette,
-            beta,
-            degree,
-            primitives,
-            &mut next_colors,
-        )?;
+        let q = reduction_prime(palette, beta, degree)? as usize;
+        let new_palette = q * q;
         span.set_arg("palette_after", new_palette.min(palette) as u64);
-        drop(span);
         rounds += 1;
         if new_palette >= palette {
-            // Fixed point reached; keep the smaller palette (the round's
-            // output stays in the spare buffer, discarded by reuse).
+            // Fixed point: the round's palette `q²` is known before any
+            // node runs, and it would not shrink the palette, so no node
+            // runs it. It still counts as a round, as it always has.
             trajectory.push(palette);
             break;
         }
+        reduction_round_into(
+            graph,
+            orientation,
+            &colors,
+            q,
+            degree,
+            primitives,
+            &mut next_colors,
+        );
+        drop(span);
         std::mem::swap(&mut colors, &mut next_colors);
         palette = new_palette;
         trajectory.push(palette);
@@ -517,17 +513,17 @@ mod tests {
         let orientation = Orientation::from_total_order(&graph, |v| if v == 0 { 1 } else { 0 });
         let colors: Vec<usize> = (0..200).collect();
         let mut new_colors = Vec::new();
-        let new_palette = reduction_round_into(
+        let q = reduction_prime(200, 1, 2).unwrap() as usize;
+        reduction_round_into(
             &graph,
             &orientation,
             &colors,
-            200,
-            1,
+            q,
             2,
             &RoundPrimitives::sequential(),
             &mut new_colors,
-        )
-        .unwrap();
+        );
+        let new_palette = q * q;
         assert!(new_palette < 200);
         let coloring = Coloring::new(new_colors);
         assert!(coloring.is_proper(&graph));

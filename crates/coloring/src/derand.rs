@@ -703,22 +703,24 @@ fn derand_run(
             primitives.par_map_weighted_into(
                 &tentative,
                 |_, &(v, _)| graph.degree(v),
-                |_, &(v, color)| {
-                    let neighbors = graph.neighbors(v);
-                    neighbors.iter().enumerate().any(|(at, &w)| {
-                        // The scan is a gather over node-indexed state;
-                        // hint the line a few neighbors ahead while the
-                        // current one resolves.
-                        if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
-                            simd::prefetch_read(tentative_colors, ahead);
-                        }
-                        let other = if in_u[w] {
-                            tentative_colors[w]
-                        } else {
-                            partial.color(w)
-                        };
-                        other == Some(color)
-                    })
+                || {
+                    |_, &(v, color)| {
+                        let neighbors = graph.neighbors(v);
+                        neighbors.iter().enumerate().any(|(at, &w)| {
+                            // The scan is a gather over node-indexed
+                            // state; hint the line a few neighbors ahead
+                            // while the current one resolves.
+                            if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
+                                simd::prefetch_read(tentative_colors, ahead);
+                            }
+                            let other = if in_u[w] {
+                                tentative_colors[w]
+                            } else {
+                                partial.color(w)
+                            };
+                            other == Some(color)
+                        })
+                    }
                 },
                 &mut conflicts,
             );

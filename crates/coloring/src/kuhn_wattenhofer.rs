@@ -132,11 +132,11 @@ fn kw_sweeps<C: ColorWord>(
     let mut trajectory = vec![palette];
 
     // Steady-state allocation-free sweeps: the per-decision "used colors"
-    // set is a word-packed BitSet leased per worker from the context's
-    // scratch registry (a palette-sized clear is a few cache lines; the
-    // free-color probe is a word scan instead of a per-color loop), and the
-    // recolor-index / compaction buffers are reused across every
-    // elimination round.
+    // set is a word-packed BitSet leased once per chunk from the context's
+    // scratch registry and reset per member (a palette-sized clear is a
+    // few cache lines; the free-color probe is a word scan instead of a
+    // per-color loop), and the recolor-index / compaction buffers are
+    // reused across every elimination round.
     let used_sets = primitives.scratch_pool::<BitSet>();
     let mut recolor: Vec<usize> = Vec::new();
     let mut compacted: Vec<C> = Vec::new();
@@ -174,27 +174,29 @@ fn kw_sweeps<C: ColorWord>(
                 &recolor,
                 &mut colors,
                 |v| graph.degree(v),
-                |v, snapshot| {
+                || {
                     let mut used = used_sets.lease();
-                    used.reset(target);
-                    let block_start = (snapshot[v].to_usize() / block) * block;
-                    let neighbors = graph.neighbors(v);
-                    for (at, &w) in neighbors.iter().enumerate() {
-                        // The neighbor ids are sequential in CSR but the
-                        // color gather is scattered; prefetch a few
-                        // iterations ahead to hide the latency.
-                        if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
-                            simd::prefetch_read(snapshot, ahead);
+                    move |v, snapshot| {
+                        used.reset(target);
+                        let block_start = (snapshot[v].to_usize() / block) * block;
+                        let neighbors = graph.neighbors(v);
+                        for (at, &w) in neighbors.iter().enumerate() {
+                            // The neighbor ids are sequential in CSR but
+                            // the color gather is scattered; prefetch a
+                            // few iterations ahead to hide the latency.
+                            if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
+                                simd::prefetch_read(snapshot, ahead);
+                            }
+                            let cw = snapshot[w].to_usize();
+                            if cw >= block_start && cw < block_start + target {
+                                used.insert(cw - block_start);
+                            }
                         }
-                        let cw = snapshot[w].to_usize();
-                        if cw >= block_start && cw < block_start + target {
-                            used.insert(cw - block_start);
-                        }
+                        let free = used.first_absent().expect(
+                            "a free color exists because the degree is at most degree_bound",
+                        );
+                        C::from_usize(block_start + free)
                     }
-                    let free = used
-                        .first_absent()
-                        .expect("a free color exists because the degree is at most degree_bound");
-                    C::from_usize(block_start + free)
                 },
             );
         }

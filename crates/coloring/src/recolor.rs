@@ -265,6 +265,65 @@ pub fn recolor_layers_with_runtime(
     })
 }
 
+/// Nodes `0..n` ordered by `(layer desc, color desc, id)`: two stable
+/// counting-sort passes, the minor key first, so ties keep the ascending
+/// id order they start in.
+fn wave_schedule(
+    n: usize,
+    layer: impl Fn(NodeId) -> usize,
+    color: impl Fn(NodeId) -> usize,
+) -> Vec<NodeId> {
+    let mut schedule: Vec<NodeId> = (0..n).collect();
+    let mut spare = Vec::with_capacity(n);
+    sort_desc_by_key(&mut schedule, &mut spare, color);
+    sort_desc_by_key(&mut schedule, &mut spare, layer);
+    schedule
+}
+
+/// Bits per counting pass of [`sort_desc_by_key`].
+const DIGIT_BITS: u32 = 16;
+
+/// Stably reorders `items` by `key` descending: a least-significant-digit
+/// radix sort of `max - key`, one counting pass per 16 bits of the largest
+/// key. A key below 65,536 (every palette and layer count in practice)
+/// takes one pass with at most `max + 1` buckets.
+fn sort_desc_by_key(
+    items: &mut Vec<NodeId>,
+    spare: &mut Vec<NodeId>,
+    key: impl Fn(NodeId) -> usize,
+) {
+    let max = items.iter().map(|&v| key(v)).max().unwrap_or(0);
+    let mask = (1usize << DIGIT_BITS) - 1;
+    let mut counts: Vec<usize> = Vec::new();
+    let mut shift = 0;
+    loop {
+        let digit = |v: NodeId| ((max - key(v)) >> shift) & mask;
+        counts.clear();
+        counts.resize((max >> shift).min(mask) + 1, 0);
+        for &v in items.iter() {
+            counts[digit(v)] += 1;
+        }
+        let mut start = 0;
+        for count in &mut counts {
+            let bucket = *count;
+            *count = start;
+            start += bucket;
+        }
+        spare.clear();
+        spare.resize(items.len(), 0);
+        for &v in items.iter() {
+            let slot = &mut counts[digit(v)];
+            spare[*slot] = v;
+            *slot += 1;
+        }
+        std::mem::swap(items, spare);
+        shift += DIGIT_BITS;
+        if shift >= usize::BITS || max >> shift == 0 {
+            break;
+        }
+    }
+}
+
 /// The recoloring waves, generic over the color storage width.
 ///
 /// Final colors live in a flat `Vec<C>` with [`ColorWord::NONE`] standing
@@ -291,18 +350,13 @@ fn recolor_waves<C: ColorWord>(
 
     // Process nodes by (layer descending, initial color descending, id) —
     // the centralized order of Section 6.3.
-    let mut schedule: Vec<NodeId> = graph.nodes().collect();
-    schedule.sort_by(|&a, &b| {
-        layer_of(b)
-            .cmp(&layer_of(a))
-            .then(initial.color(b).cmp(&initial.color(a)))
-            .then(a.cmp(&b))
-    });
+    let schedule = wave_schedule(n, layer_of, |v| initial.color(v));
 
     let mut final_colors: Vec<C> = vec![C::NONE; n];
     // Steady-state allocation-free waves: the per-decision "used colors"
-    // set is a BitSet leased per worker (no `vec![false; palette]` per
-    // node) and the wave-choice buffer is recycled across waves.
+    // set is a BitSet leased once per chunk and reset per member (no
+    // `vec![false; palette]` per node) and the wave-choice buffer is
+    // recycled across waves.
     let used_sets = primitives.scratch_pool::<BitSet>();
     let mut choices: Vec<C> = Vec::new();
     let mut start = 0usize;
@@ -330,30 +384,32 @@ fn recolor_waves<C: ColorWord>(
             primitives.par_map_weighted_into(
                 wave,
                 |_, &v| graph.degree(v),
-                |_, &v| {
+                || {
                     let mut used = used_sets.lease();
-                    used.reset(palette);
-                    let neighbors = graph.neighbors(v);
-                    for (at, &w) in neighbors.iter().enumerate() {
-                        // The color gather is scattered even though the
-                        // neighbor ids stream sequentially; prefetch a few
-                        // iterations ahead to hide the latency.
-                        if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
-                            simd::prefetch_read(snapshot, ahead);
-                        }
-                        let cw = snapshot[w];
-                        if cw != C::NONE {
-                            let c = cw.to_usize();
-                            if c < palette {
-                                used.insert(c);
+                    move |_, &v| {
+                        used.reset(palette);
+                        let neighbors = graph.neighbors(v);
+                        for (at, &w) in neighbors.iter().enumerate() {
+                            // The color gather is scattered even though the
+                            // neighbor ids stream sequentially; prefetch a
+                            // few iterations ahead to hide the latency.
+                            if let Some(&ahead) = neighbors.get(at + simd::PREFETCH_LOOKAHEAD) {
+                                simd::prefetch_read(snapshot, ahead);
+                            }
+                            let cw = snapshot[w];
+                            if cw != C::NONE {
+                                let c = cw.to_usize();
+                                if c < palette {
+                                    used.insert(c);
+                                }
                             }
                         }
+                        let choice = match order {
+                            RecolorOrder::HighestAvailable => used.last_absent(),
+                            RecolorOrder::SmallestAvailable => used.first_absent(),
+                        };
+                        choice.map_or(C::NONE, C::from_usize)
                     }
-                    let choice = match order {
-                        RecolorOrder::HighestAvailable => used.last_absent(),
-                        RecolorOrder::SmallestAvailable => used.first_absent(),
-                    };
-                    choice.map_or(C::NONE, C::from_usize)
                 },
                 &mut choices,
             );
@@ -493,6 +549,36 @@ mod tests {
             let wide = recolor_waves::<usize>(&graph, &partition, &initial, order, 7, &primitives)
                 .unwrap();
             assert_eq!(narrow, wide, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn counting_sort_schedule_matches_the_comparator_order() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(97);
+        // Small key ranges take one counting pass; wide ones (up to
+        // usize::MAX) take one pass per 16 bits.
+        for (n, layers, colors) in [
+            (0usize, 1usize, 1usize),
+            (1, 1, 1),
+            (500, 4, 9),
+            (2_000, 70_000, 300),
+            (2_000, 3, usize::MAX),
+        ] {
+            let layer: Vec<usize> = (0..n).map(|_| rng.gen_range(0..layers)).collect();
+            let color: Vec<usize> = (0..n).map(|_| rng.gen_range(0..colors)).collect();
+            let mut expected: Vec<NodeId> = (0..n).collect();
+            expected.sort_by(|&a, &b| {
+                layer[b]
+                    .cmp(&layer[a])
+                    .then(color[b].cmp(&color[a]))
+                    .then(a.cmp(&b))
+            });
+            let schedule = wave_schedule(n, |v| layer[v], |v| color[v]);
+            assert_eq!(
+                schedule, expected,
+                "n {n}, layers {layers}, colors {colors}"
+            );
         }
     }
 

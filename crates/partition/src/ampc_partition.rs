@@ -326,7 +326,7 @@ pub fn ampc_beta_partition_traced(
         .runtime
         .engine(partition_round_config(graph, params))
         .with_trace(trace.clone());
-    // One game scratch per worker thread, warm across rounds.
+    // One game scratch per chunk of machines, warm across rounds.
     let scratch = ScratchPool::<CoinGameScratch>::new();
 
     while !remaining.is_empty() {
@@ -355,20 +355,27 @@ pub fn ampc_beta_partition_traced(
         // partial β-partition (Lemma 4.10).
         let lca_report = if params.use_lca {
             let config = params.coin_game_config(sub_n);
-            Some(engine.round(sub_n, |machine, ctx| {
-                // A fresh oracle view per machine: queries are counted
-                // per machine, exactly the per-node accounting of
-                // Lemma 4.7.
-                let oracle = LcaOracle::new(sub);
-                let summary = partial_partition_lca_with(
-                    &oracle,
-                    machine,
-                    &config,
-                    &mut scratch.lease(),
-                    |node, layer| ctx.write(Key::single(node as u64), Value::single(layer as u64)),
-                )?;
-                ctx.note_reads(summary.queries);
-                Ok(())
+            Some(engine.round(sub_n, || {
+                // Every machine of the chunk plays its game on the chunk's
+                // scratch; each game resets it before it starts.
+                let mut lease = scratch.lease();
+                move |machine, ctx| {
+                    // A fresh oracle view per machine: queries are counted
+                    // per machine, exactly the per-node accounting of
+                    // Lemma 4.7.
+                    let oracle = LcaOracle::new(sub);
+                    let summary = partial_partition_lca_with(
+                        &oracle,
+                        machine,
+                        &config,
+                        &mut lease,
+                        |node, layer| {
+                            ctx.write(Key::single(node as u64), Value::single(layer as u64))
+                        },
+                    )?;
+                    ctx.note_reads(summary.queries);
+                    Ok(())
+                }
             })?)
         } else {
             None
@@ -380,12 +387,14 @@ pub fn ampc_beta_partition_traced(
         // nodes it layered, so an empty store means the LCA layered none.
         let peel_report = if lca_report.is_none() || engine.layered() == 0 {
             peeling_rounds += 1;
-            let mut report = engine.round(sub_n, |machine, ctx| {
-                ctx.note_reads(1);
-                if sub.degree(machine) <= params.beta {
-                    ctx.write(Key::single(machine as u64), Value::single(0))?;
+            let mut report = engine.round(sub_n, || {
+                |machine, ctx| {
+                    ctx.note_reads(1);
+                    if sub.degree(machine) <= params.beta {
+                        ctx.write(Key::single(machine as u64), Value::single(0))?;
+                    }
+                    Ok(())
                 }
-                Ok(())
             })?;
             // A machine inspects up to β + 1 adjacency entries to certify
             // its low degree; mirror the seed's accounting.

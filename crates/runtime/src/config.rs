@@ -99,14 +99,16 @@ mod tests {
         ] {
             let mut engine = rt.engine(AmpcConfig::for_input_size(16, 0.5));
             engine
-                .round(2, |machine, ctx| {
-                    ctx.write(Key::single(machine as u64), Value::single(7))
+                .round(2, || {
+                    |machine, ctx| ctx.write(Key::single(machine as u64), Value::single(7))
                 })
                 .unwrap();
             engine
-                .round(2, |machine, ctx| {
-                    let v = ctx.read(Key::single(machine as u64))?.unwrap();
-                    ctx.write(Key::single(0), Value::single(v.words()[0] + machine as u64))
+                .round(2, || {
+                    |machine, ctx| {
+                        let v = ctx.read(Key::single(machine as u64))?.unwrap();
+                        ctx.write(Key::single(0), Value::single(v.words()[0] + machine as u64))
+                    }
                 })
                 .unwrap();
             assert_eq!(engine.layer(0), Some(7));

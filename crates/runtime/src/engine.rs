@@ -80,23 +80,26 @@ struct Chunk {
 }
 
 impl Chunk {
-    /// Runs the machines of `range` in order, min-merging each machine's
-    /// writes into `next` right after its body; stops at the first error.
-    fn run<F>(
+    /// Runs the machines of `range` in order through one body from
+    /// `chunk`, min-merging each machine's writes into `next` right after
+    /// it returns; stops at the first error.
+    fn run<M, B>(
         &mut self,
         range: Range<usize>,
-        body: &F,
+        chunk: &M,
         input: &Layers<'_>,
         next: &[AtomicU32],
         config: &AmpcConfig,
         attempt: &Attempt<'_>,
     ) where
-        F: Fn(usize, &mut MachineContext<'_>) -> Result<(), ModelError> + Sync,
+        M: Fn() -> B,
+        B: FnMut(usize, &mut MachineContext<'_>) -> Result<(), ModelError>,
     {
         *self = Chunk {
             writes: std::mem::take(&mut self.writes),
             ..Chunk::default()
         };
+        let mut body = chunk();
         for machine in range {
             attempt.before_machine(machine);
             let mut ctx = MachineContext::for_round(
@@ -130,12 +133,15 @@ impl Chunk {
 /// contiguous id ranges, one task per thread on a persistent
 /// [`WorkerPool`] (a single range runs inline on the calling thread), each
 /// through a [`MachineContext`] with the model's read and write budgets.
-/// Right after a machine's body returns, each of its buffered writes
-/// becomes one `fetch_min` on the next round's array; reads resolve
-/// against the previous round's array. Min is commutative, so the result
-/// does not depend on the thread count or on the order in which writes
-/// land; a failing round returns the error of its lowest failing machine,
-/// exactly as the sequential [`ampc_model::AmpcExecutor`] under
+/// A range gets its machine body from a per-chunk factory, so the scratch
+/// its machines reuse (the partition's coin-game state) is leased once per
+/// range, not once per machine. Right after a machine's body returns, each
+/// of its buffered writes becomes one `fetch_min` on the next round's
+/// array; reads resolve against the previous round's array. Min is
+/// commutative, so the result does not depend on the thread count or on
+/// the order in which writes land; a failing round returns the error of
+/// its lowest failing machine, exactly as the sequential
+/// [`ampc_model::AmpcExecutor`] under
 /// [`ampc_model::ConflictPolicy::KeepMin`] does.
 ///
 /// Every round runs under the crate's fault supervisor (injection,
@@ -215,6 +221,13 @@ impl RoundEngine {
     /// with `node < machines`; the next store holds, per written node, the
     /// minimum layer written for it.
     ///
+    /// `chunk` is called once per contiguous range of machines in every
+    /// attempt (once per attempt at one thread) and returns the body that
+    /// runs each machine of that range in id order. It is where a round
+    /// leases the scratch its machines reuse: the body must still compute
+    /// each machine's writes from the machine id and the store alone, so
+    /// it resets that scratch per machine.
+    ///
     /// # Errors
     ///
     /// The budget violation or body error of the lowest failing machine,
@@ -225,25 +238,27 @@ impl RoundEngine {
     /// # Panics
     ///
     /// When a machine writes a key or value outside the contract above.
-    pub fn round<F>(&mut self, machines: usize, body: F) -> Result<RoundReport, ModelError>
+    pub fn round<M, B>(&mut self, machines: usize, chunk: M) -> Result<RoundReport, ModelError>
     where
-        F: Fn(usize, &mut MachineContext<'_>) -> Result<(), ModelError> + Sync,
+        M: Fn() -> B + Sync,
+        B: FnMut(usize, &mut MachineContext<'_>) -> Result<(), ModelError>,
     {
         faults::supervise(self.metrics.num_rounds(), |attempt| {
-            self.attempt(machines, &body, attempt)
+            self.attempt(machines, &chunk, attempt)
         })
     }
 
     /// One attempt at one round. Touches only `next` and the chunk state
     /// until the final commit, so any earlier exit leaves no trace.
-    fn attempt<F>(
+    fn attempt<M, B>(
         &mut self,
         machines: usize,
-        body: &F,
+        chunk: &M,
         attempt: &Attempt<'_>,
     ) -> Result<RoundReport, AttemptFailure>
     where
-        F: Fn(usize, &mut MachineContext<'_>) -> Result<(), ModelError> + Sync,
+        M: Fn() -> B + Sync,
+        B: FnMut(usize, &mut MachineContext<'_>) -> Result<(), ModelError>,
     {
         let started = Instant::now();
         let trace = self.trace.clone();
@@ -269,8 +284,8 @@ impl RoundEngine {
             let tasks: Vec<ScopedTask<'_>> = chunks
                 .iter_mut()
                 .zip(ranges)
-                .map(|(chunk, range)| {
-                    Box::new(move || chunk.run(range, body, input, next, config, attempt))
+                .map(|(state, range)| {
+                    Box::new(move || state.run(range, chunk, input, next, config, attempt))
                         as ScopedTask<'_>
                 })
                 .collect();
@@ -346,6 +361,7 @@ impl RoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchPool;
     use ampc_model::{AmpcExecutor, ConflictPolicy, DataStore};
 
     fn config() -> AmpcConfig {
@@ -378,7 +394,7 @@ mod tests {
 
     fn run_engine(engine: &mut RoundEngine, machines: usize) {
         for round in 0..2 {
-            engine.round(machines, body(round, machines)).unwrap();
+            engine.round(machines, || body(round, machines)).unwrap();
         }
     }
 
@@ -493,7 +509,7 @@ mod tests {
         );
         for threads in [1, 2, 4] {
             let mut engine = RoundEngine::new(tight, threads);
-            assert_eq!(engine.round(12, body).unwrap_err(), expected);
+            assert_eq!(engine.round(12, || body).unwrap_err(), expected);
         }
     }
 
@@ -502,19 +518,21 @@ mod tests {
         for threads in [1, 2] {
             let mut engine = RoundEngine::new(config(), threads);
             engine
-                .round(8, |machine, ctx| {
-                    ctx.write(Key::single(machine as u64), Value::single(1))
+                .round(8, || {
+                    |machine, ctx| ctx.write(Key::single(machine as u64), Value::single(1))
                 })
                 .unwrap();
-            let error = engine.round(8, |machine, ctx| {
-                ctx.write(Key::single(machine as u64), Value::single(0))?;
-                if machine == 5 {
-                    return Err(ModelError::RoundPanicked {
-                        round: 1,
-                        detail: "body failed".to_string(),
-                    });
+            let error = engine.round(8, || {
+                |machine, ctx| {
+                    ctx.write(Key::single(machine as u64), Value::single(0))?;
+                    if machine == 5 {
+                        return Err(ModelError::RoundPanicked {
+                            round: 1,
+                            detail: "body failed".to_string(),
+                        });
+                    }
+                    Ok(())
                 }
-                Ok(())
             });
             assert!(error.is_err());
             assert!((0..8).all(|node| engine.layer(node) == Some(1)));
@@ -525,18 +543,48 @@ mod tests {
     }
 
     #[test]
+    fn a_round_leases_chunk_scratch_once_per_chunk() {
+        let scratch = ScratchPool::<Vec<u64>>::new();
+        let leases = || scratch.counters().reuses() + scratch.counters().allocs();
+        for threads in [1, 2, 4] {
+            let mut engine = RoundEngine::new(AmpcConfig::for_input_size(10_000, 0.5), threads);
+            let before = leases();
+            engine
+                .round(10_000, || {
+                    let mut seen = scratch.lease();
+                    move |machine, ctx| {
+                        seen.clear();
+                        seen.push(machine as u64 % 7);
+                        ctx.write(Key::single(machine as u64), Value::single(seen[0]))
+                    }
+                })
+                .unwrap();
+            assert!((0..10_000).all(|node| engine.layer(node) == Some(node as u32 % 7)));
+            let taken = leases() - before;
+            let chunks = chunk_ranges(10_000, threads).len() as u64;
+            assert!(
+                (1..=chunks).contains(&taken),
+                "threads {threads}: {taken} leases for {chunks} chunks"
+            );
+            if threads == 1 {
+                assert_eq!(taken, 1, "an inline round leases once");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "round engine writes are Key::single(node)")]
     fn writes_outside_the_contract_panic_with_a_message() {
         let mut engine = RoundEngine::new(config(), 1);
-        let _ = engine.round(1, |_, ctx| ctx.write(Key::pair(0, 0), Value::single(1)));
+        let _ = engine.round(1, || |_, ctx| ctx.write(Key::pair(0, 0), Value::single(1)));
     }
 
     #[test]
     #[should_panic(expected = "does not fit below the u32 sentinel")]
     fn layers_are_never_truncated() {
         let mut engine = RoundEngine::new(config(), 1);
-        let _ = engine.round(1, |_, ctx| {
-            ctx.write(Key::single(0), Value::single(u64::from(u32::MAX)))
+        let _ = engine.round(1, || {
+            |_, ctx| ctx.write(Key::single(0), Value::single(u64::from(u32::MAX)))
         });
     }
 }

@@ -38,9 +38,12 @@
 //! * [`MarkerSet`] / [`ScratchPool`] — the allocation-discipline vocabulary:
 //!   epoch-stamped membership sets with O(1) clear and thread-indexed,
 //!   generation-checked reusable-buffer leasing
-//!   ([`RoundPrimitives::scratch_pool`]), plus `*_into` primitive variants
-//!   writing into caller-owned reused buffers — the simulators' hot loops
-//!   allocate nothing in steady state, with reuse counters surfaced as
+//!   ([`RoundPrimitives::scratch_pool`], leased once per chunk through the
+//!   per-chunk factories of [`RoundEngine::round`] and
+//!   [`RoundPrimitives::par_node_map_weighted_into`]), plus `*_into`
+//!   primitive variants writing into caller-owned reused buffers — the
+//!   simulators' hot loops allocate nothing in steady state, with reuse
+//!   counters surfaced as
 //!   [`ampc_model::RoundRuntimeStats::scratch_reuses`] /
 //!   [`ampc_model::RoundRuntimeStats::scratch_allocs`].
 //! * Extended metrics — wall-clock per round, conflict-merge counts and
@@ -79,7 +82,7 @@
 //! for runtime in [RuntimeConfig::Sequential, RuntimeConfig::parallel().with_threads(4)] {
 //!     let mut engine = runtime.engine(config);
 //!     engine
-//!         .round(64, |machine, ctx| {
+//!         .round(64, || |machine, ctx| {
 //!             let layer = Value::single(machine as u64 % 3);
 //!             ctx.write(Key::single(machine as u64), layer)?;
 //!             ctx.write(Key::single((machine as u64 + 1) % 64), layer)

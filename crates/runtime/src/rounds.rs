@@ -26,12 +26,23 @@
 //!   pool's work-stealing deques rebalance. Chunk boundaries derive only
 //!   from the prefix sum of the costs, never from the thread count, so the
 //!   bit-identity contract is untouched.
+//! * per-chunk factories ([`RoundPrimitives::par_node_map_weighted_into`]
+//!   and the two forms built on it,
+//!   [`RoundPrimitives::par_map_weighted_into`] and
+//!   [`RoundPrimitives::par_color_classes_weighted`]) — instead of one
+//!   `Fn` per item, the caller passes a factory that is called once per
+//!   chunk (once per call when the map runs inline) and returns the
+//!   `FnMut` run for each item of the chunk. The factory is where a sweep
+//!   leases its scratch ([`RoundPrimitives::scratch_pool`]), so a sweep
+//!   pays one lease per chunk rather than one per node.
 //!
 //! ## Determinism contract
 //!
 //! Every primitive produces **bit-identical** results for any thread count,
 //! including 1, provided the supplied closures are pure functions of their
-//! arguments:
+//! arguments (an item function from a factory may keep scratch across
+//! items only if it resets that scratch per item, so each item's value
+//! never depends on the chunk grid):
 //!
 //! * maps write into index-keyed slots, so scheduling order cannot leak;
 //! * color-class sweeps read a snapshot taken before the sweep — sound
@@ -357,20 +368,43 @@ impl RoundPrimitives {
         self.par_node_map(items.len(), |index| f(index, &items[index]))
     }
 
-    /// Runs a chunk grid over `out`, writing `f(index)` into slot `index`.
-    /// The grid must exactly cover `0..out.len()` in ascending order.
-    fn fill_chunks<U, F>(&self, chunks: &[Range<usize>], f: &F, out: &mut [U])
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
+    /// Clears `out` and refills it with one value per index of `0..items`:
+    /// inline through one item function from `chunk`, or over the chunk
+    /// grid `grid` builds, one item function per chunk, each chunk writing
+    /// its disjoint sub-slice. `grid` must cover `0..items` in ascending
+    /// order.
+    fn map_into<U, M, F>(
+        &self,
+        items: usize,
+        grid: impl FnOnce() -> Vec<Range<usize>>,
+        chunk: &M,
+        out: &mut Vec<U>,
+    ) where
+        U: Send + Default,
+        M: Fn() -> F + Sync,
+        F: FnMut(usize) -> U,
     {
+        let started = Instant::now();
+        self.scratch_counters.note(out.capacity() >= items);
+        out.clear();
+        out.resize_with(items, U::default);
+        if self.threads == 1 || items < MIN_PAR_ITEMS {
+            let mut f = chunk();
+            for (index, slot) in out.iter_mut().enumerate() {
+                *slot = f(index);
+            }
+            self.record(1, started);
+            return;
+        }
+        let chunks = grid();
         let mut rest: &mut [U] = out;
         let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(chunks.len());
-        for range in chunks {
+        for range in &chunks {
             let (mine, remainder) = rest.split_at_mut(range.len());
             rest = remainder;
             let start = range.start;
             tasks.push(Box::new(move || {
+                let mut f = chunk();
                 for (offset, slot) in mine.iter_mut().enumerate() {
                     *slot = f(start + offset);
                 }
@@ -378,6 +412,7 @@ impl RoundPrimitives {
         }
         debug_assert!(rest.is_empty(), "the grid covers the output exactly");
         WorkerPool::global().execute(tasks);
+        self.record(chunks.len() as u64, started);
     }
 
     /// [`RoundPrimitives::par_node_map`] writing into a caller-owned,
@@ -392,53 +427,39 @@ impl RoundPrimitives {
         U: Send + Default,
         F: Fn(usize) -> U + Sync,
     {
-        let started = Instant::now();
-        self.scratch_counters.note(out.capacity() >= items);
-        out.clear();
-        out.resize_with(items, U::default);
-        if self.threads == 1 || items < MIN_PAR_ITEMS {
-            for (index, slot) in out.iter_mut().enumerate() {
-                *slot = f(index);
-            }
-            self.record(1, started);
-            return;
-        }
-        let chunks = chunk_ranges(items, self.threads);
-        self.fill_chunks(&chunks, &f, out);
-        self.record(chunks.len() as u64, started);
+        self.map_into(items, || chunk_ranges(items, self.threads), &|| &f, out);
     }
 
     /// [`RoundPrimitives::par_node_map_weighted`] writing into a
     /// caller-owned, reusable output buffer (see
-    /// [`RoundPrimitives::par_node_map_into`]).
-    pub fn par_node_map_weighted_into<U, F, W>(
+    /// [`RoundPrimitives::par_node_map_into`]), with the item function
+    /// built **per chunk**: `chunk` is called once per chunk of the grid
+    /// (once per call when the map runs inline, as it always does at one
+    /// thread) and returns the `FnMut` that computes each item of that
+    /// chunk in index order. That is where a map leases the scratch its
+    /// items reuse — one lease per chunk instead of one per item. Each
+    /// item must still be a pure function of its index, so the item
+    /// function resets that scratch per item.
+    pub fn par_node_map_weighted_into<U, M, F, W>(
         &self,
         items: usize,
         weight: W,
-        f: F,
+        chunk: M,
         out: &mut Vec<U>,
     ) where
         U: Send + Default,
-        F: Fn(usize) -> U + Sync,
+        M: Fn() -> F + Sync,
+        F: FnMut(usize) -> U,
         W: Fn(usize) -> usize,
     {
-        if !self.weighted {
-            return self.par_node_map_into(items, f, out);
-        }
-        let started = Instant::now();
-        self.scratch_counters.note(out.capacity() >= items);
-        out.clear();
-        out.resize_with(items, U::default);
-        if self.threads == 1 || items < MIN_PAR_ITEMS {
-            for (index, slot) in out.iter_mut().enumerate() {
-                *slot = f(index);
+        let grid = || {
+            if self.weighted {
+                cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads)
+            } else {
+                chunk_ranges(items, self.threads)
             }
-            self.record(1, started);
-            return;
-        }
-        let chunks = cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads);
-        self.fill_chunks(&chunks, &f, out);
-        self.record(chunks.len() as u64, started);
+        };
+        self.map_into(items, grid, &chunk, out);
     }
 
     /// The slice-input convenience over
@@ -453,18 +474,28 @@ impl RoundPrimitives {
     }
 
     /// The slice-input convenience over
-    /// [`RoundPrimitives::par_node_map_weighted_into`].
-    pub fn par_map_weighted_into<T, U, F, W>(&self, items: &[T], weight: W, f: F, out: &mut Vec<U>)
-    where
+    /// [`RoundPrimitives::par_node_map_weighted_into`]: `chunk` returns the
+    /// per-chunk item function over `(index, &items[index])`.
+    pub fn par_map_weighted_into<'a, T, U, M, F, W>(
+        &self,
+        items: &'a [T],
+        weight: W,
+        chunk: M,
+        out: &mut Vec<U>,
+    ) where
         T: Sync,
         U: Send + Default,
-        F: Fn(usize, &T) -> U + Sync,
+        M: Fn() -> F + Sync,
+        F: FnMut(usize, &'a T) -> U,
         W: Fn(usize, &T) -> usize,
     {
         self.par_node_map_weighted_into(
             items.len(),
             |index| weight(index, &items[index]),
-            |index| f(index, &items[index]),
+            || {
+                let mut f = chunk();
+                move |index| f(index, &items[index])
+            },
             out,
         )
     }
@@ -577,16 +608,19 @@ impl RoundPrimitives {
     /// cost (callers pass the member's degree — a recoloring decision scans
     /// its adjacency list). Identical results to the unweighted sweep for
     /// any thread count; only the chunk grid (and therefore load balance
-    /// under skew) differs.
-    pub fn par_color_classes_weighted<C, F, W>(
+    /// under skew) differs. Like
+    /// [`RoundPrimitives::par_node_map_weighted_into`], `chunk` is called
+    /// once per chunk and returns the decision function for its members.
+    pub fn par_color_classes_weighted<C, M, F, W>(
         &self,
         members: &[usize],
         colors: &mut [C],
         weight: W,
-        f: F,
+        chunk: M,
     ) where
         C: Copy + Send + Sync + Default + 'static,
-        F: Fn(usize, &[C]) -> C + Sync,
+        M: Fn() -> F + Sync,
+        F: FnMut(usize, &[C]) -> C,
         W: Fn(usize) -> usize,
     {
         let pool = self.scratch_pool::<Vec<C>>();
@@ -596,7 +630,10 @@ impl RoundPrimitives {
             self.par_node_map_weighted_into(
                 members.len(),
                 |index| weight(members[index]),
-                |index| f(members[index], snapshot),
+                || {
+                    let mut f = chunk();
+                    move |index| f(members[index], snapshot)
+                },
                 &mut updates,
             );
         }
@@ -1027,9 +1064,45 @@ mod tests {
                 &members,
                 &mut colors,
                 |member| member % 97,
-                |v, snapshot| snapshot[v] + 7,
+                || |v, snapshot| snapshot[v] + 7,
             );
             assert_eq!(colors, expected, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn weighted_maps_lease_chunk_scratch_once_per_chunk() {
+        let scratch = ScratchPool::<Vec<usize>>::new();
+        let leases = || scratch.counters().reuses() + scratch.counters().allocs();
+        let weight = |i: usize| if i.is_multiple_of(100) { 50 } else { 1 };
+        let reference: Vec<usize> = (0..10_000).map(|i| i * 3).collect();
+        for threads in [1usize, 2, 4] {
+            let primitives = RoundPrimitives::new(threads);
+            let before = leases();
+            let mut out = Vec::new();
+            primitives.par_node_map_weighted_into(
+                10_000,
+                weight,
+                || {
+                    let mut seen = scratch.lease();
+                    move |i| {
+                        seen.clear();
+                        seen.push(i * 3);
+                        seen[0]
+                    }
+                },
+                &mut out,
+            );
+            assert_eq!(out, reference, "threads {threads}");
+            let taken = leases() - before;
+            let chunks = primitives.tasks_executed();
+            assert!(
+                (1..=chunks).contains(&taken),
+                "threads {threads}: {taken} leases for {chunks} chunks"
+            );
+            if threads == 1 {
+                assert_eq!(taken, 1, "an inline map leases once");
+            }
         }
     }
 

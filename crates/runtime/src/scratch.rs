@@ -15,18 +15,26 @@
 //! * [`EpochMap`] — the same stamping with a `u32` per slot: an
 //!   O(1)-clear dense-id → slot map (the coin game's node index).
 //! * [`ScratchPool`] — a thread-indexed pool of reusable `T: Default`
-//!   buffers. Worker closures [`ScratchPool::lease`] a buffer, use it for
-//!   one item (or one chunk) and return it on drop; in steady state no
-//!   lease allocates. Pools are **generation-checked**: bumping the
-//!   generation ([`ScratchPool::advance_generation`]) lazily discards every
-//!   cached buffer, so a caller that cannot prove its buffers reset cleanly
-//!   can force fresh ones without walking the pool.
+//!   buffers. A caller [`ScratchPool::lease`]s a buffer, resets it before
+//!   each use and returns it on drop; in steady state no lease allocates.
+//!   A lease locks a shard and bumps two counters, one of them
+//!   process-wide: tens of nanoseconds, and more when threads lease at
+//!   once, which is more than the per-node work of a simulator sweep. So
+//!   the hot loops lease **once per chunk**: the per-chunk factories of
+//!   [`crate::RoundEngine::round`] and
+//!   [`crate::RoundPrimitives::par_node_map_weighted_into`] lease, and the
+//!   item function they return reuses the buffer for every item of the
+//!   chunk. Pools are **generation-checked**: bumping the generation
+//!   ([`ScratchPool::advance_generation`]) lazily discards every cached
+//!   buffer, so a caller that cannot prove its buffers reset cleanly can
+//!   force fresh ones without walking the pool.
 //! * [`ScratchCounters`] / [`scratch_totals`] — reuse-vs-alloc accounting.
 //!   Each pool bumps its shared counters (surfaced per round as
 //!   [`ampc_model::RoundRuntimeStats::scratch_reuses`] /
 //!   [`ampc_model::RoundRuntimeStats::scratch_allocs`]) and the
 //!   process-wide totals behind [`scratch_totals`] (surfaced by the
-//!   service's `/metrics`).
+//!   service's `/metrics`). With chunk leases these count chunks and
+//!   output-buffer checks, a few hundred per coloring job, not nodes.
 //!
 //! ## Determinism
 //!

@@ -111,7 +111,7 @@ fn engine_matches_the_keep_min_executor_on_every_workload() {
             let mut engine = RoundEngine::new(config, threads);
             for (layers, len) in &oracle {
                 engine
-                    .round(n, propose)
+                    .round(n, || propose)
                     .unwrap_or_else(|error| panic!("{label}: {error}"));
                 let actual: Vec<Option<u32>> = (0..n).map(|v| engine.layer(v)).collect();
                 assert_eq!(&actual, layers, "{label}");
@@ -136,7 +136,7 @@ fn engine_matches_the_keep_min_executor_on_every_workload() {
             let before: Vec<Option<u32>> = (0..n).map(|v| engine.layer(v)).collect();
             let metrics_before = engine.metrics().clone();
             assert_eq!(
-                engine.round(n, overrun).unwrap_err(),
+                engine.round(n, || overrun).unwrap_err(),
                 oracle_error,
                 "{label}"
             );
@@ -792,7 +792,7 @@ where
         .into_iter()
         .chain(parallel_matrix())
     {
-        errors.push(runtime.engine(config).round(machines, body).unwrap_err());
+        errors.push(runtime.engine(config).round(machines, || body).unwrap_err());
     }
     errors
 }
