@@ -64,12 +64,6 @@ impl<'g> LcaOracle<'g> {
         }
     }
 
-    /// Number of nodes of the underlying graph (global knowledge of `n` is
-    /// standard in the LCA model).
-    pub fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
     /// Queries the degree of `v`.
     ///
     /// # Errors

@@ -19,25 +19,45 @@
 //! ## Flat state
 //!
 //! A partition round plays one game per residual node, so a game keeps its
-//! whole state in a reusable [`CoinGameScratch`]. Every node the game
-//! touches — `S_v` plus the unexplored neighbors that receive coins — gets
-//! a dense slot, found through an epoch-stamped node → slot map
-//! ([`ampc_runtime::EpochMap`]). The adjacency list of every explored node
-//! is copied into one arena, and `σ` levels, forwarding sets and coin
-//! amounts live in slot-indexed vectors, so the scratch borrows nothing
-//! from the graph and a game on a warm scratch allocates nothing — across
-//! games and across the residual graphs of successive partition rounds.
+//! whole state in a reusable [`CoinGameScratch`] sized to the game, not to
+//! the graph. Every node the game touches — `S_v` plus the unexplored
+//! neighbors that receive coins — gets a dense slot, numbered in the order
+//! the game touched it, through a [`SlotMap`]: open addressing over a
+//! power-of-two table kept at most half full, emptied after each game by
+//! clearing only the buckets that game used. The adjacency list of every
+//! explored node is copied into one arena, and `σ` levels, forwarding sets
+//! and coin amounts live in slot-indexed vectors. So the scratch borrows
+//! nothing from the graph, a game on a warm scratch allocates nothing, and
+//! a fresh scratch costs O(game), not O(n).
+//!
+//! A game does only the work its outcome reads:
+//!
+//! * A holder forwards only if its coins cover `|F(σ, u)| = min(deg(u),
+//!   β + 1)`, known before the set is built, so only holders that forward
+//!   rank their neighbors. A forwarding set is built on first use within a
+//!   super-iteration; `σ` and `S_v` do not change during the flow.
+//! * A game that stops because a super-iteration explored nothing keeps
+//!   that super-iteration's `σ`, which is already the `σ` of the final
+//!   `S_v`. Only a game stopped by the super-iteration cap computes it
+//!   once more.
+//!
+//! Most games are tiny: on a 100,000-node servebench forest union (β = 5,
+//! x = 4) 31% stop after one super-iteration with only the root explored,
+//! the rest after two with 2–5 nodes. Playing all 100,000 of them on one
+//! warm scratch (2-vCPU guest, 21 alternating reps, equal digests) took a
+//! median of 165 ms with a node → slot map of 8 bytes per graph node,
+//! forwarding sets built for every explored holder and a repeated closing
+//! `σ` pass, and takes 111 ms now; round 1 of the 25,000-node power-law
+//! body (β = 23) went from 8.6 to 5.0 ms.
 //!
 //! Coins are `f64`. Each flow iteration visits the holders in ascending
 //! node id and adds shares in forwarding-set order, which fixes the
-//! floating-point summation order of every node's coins. Forwarding sets
-//! are computed on first use within a super-iteration: only coin holders
-//! need one, and `σ` and `S_v` do not change during the flow.
+//! floating-point summation order of every node's coins.
 
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
 use ampc_model::{LcaOracle, ModelError};
-use ampc_runtime::EpochMap;
 use sparse_graph::NodeId;
 
 use crate::layer::Layer;
@@ -139,10 +159,119 @@ fn log_base_floor(value: usize, base: usize) -> usize {
 /// `σ` of a slot whose node is not layered (yet): `∞`.
 const INFINITE: usize = usize::MAX;
 
+/// Marks an empty bucket of a [`SlotMap`].
+const FREE: u32 = u32::MAX;
+
+/// Buckets of a fresh [`SlotMap`]: room for 16 nodes, more than most games
+/// touch.
+const MIN_BUCKETS: usize = 32;
+
+/// The node → slot map of one game, sized to the game: open addressing
+/// with linear probing over a power-of-two bucket table kept at most half
+/// full. Slots are numbered in insertion order, so a bucket holds just a
+/// slot and `nodes[slot]` is its node.
+///
+/// The home bucket is the top bits of `node · multiplier` (multiply-shift
+/// hashing) with an odd multiplier drawn from std's [`RandomState`] when
+/// the map is created, so node ids cannot be chosen to steer probe
+/// lengths. Nothing observable depends on it: slot numbers follow
+/// insertion order, and no caller walks the buckets.
+#[derive(Debug)]
+struct SlotMap {
+    /// A slot per bucket, [`FREE`] if the bucket is empty.
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the shift that leaves the top bits.
+    shift: u32,
+    multiplier: u64,
+    /// The node of every slot, in insertion order.
+    nodes: Vec<NodeId>,
+}
+
+impl Default for SlotMap {
+    fn default() -> Self {
+        SlotMap::with_multiplier(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl SlotMap {
+    fn with_multiplier(multiplier: u64) -> Self {
+        SlotMap {
+            buckets: vec![FREE; MIN_BUCKETS],
+            shift: 64 - MIN_BUCKETS.trailing_zeros(),
+            multiplier,
+            nodes: Vec::new(),
+        }
+    }
+
+    /// The bucket holding `node`, or the empty bucket that ends its probe
+    /// path.
+    #[inline]
+    fn find(&self, node: NodeId) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut bucket = ((node as u64).wrapping_mul(self.multiplier) >> self.shift) as usize;
+        loop {
+            match self.buckets[bucket] {
+                FREE => return bucket,
+                slot if self.nodes[slot as usize] == node => return bucket,
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot of `node`, if it has one.
+    #[inline]
+    fn get(&self, node: NodeId) -> Option<usize> {
+        match self.buckets[self.find(node)] {
+            FREE => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// The slot of `node`, and whether this call gave it one (the next
+    /// slot number).
+    fn insert(&mut self, node: NodeId) -> (usize, bool) {
+        let bucket = self.find(node);
+        if self.buckets[bucket] != FREE {
+            return (self.buckets[bucket] as usize, false);
+        }
+        let slot = self.nodes.len();
+        debug_assert!(slot < FREE as usize, "slot numbers stay below FREE");
+        self.nodes.push(node);
+        if 2 * self.nodes.len() > self.buckets.len() {
+            self.grow();
+        } else {
+            self.buckets[bucket] = slot as u32;
+        }
+        (slot, true)
+    }
+
+    /// Doubles the table and places every node again, in slot order.
+    fn grow(&mut self) {
+        let len = 2 * self.buckets.len();
+        self.buckets.clear();
+        self.buckets.resize(len, FREE);
+        self.shift -= 1;
+        for slot in 0..self.nodes.len() {
+            let bucket = self.find(self.nodes[slot]);
+            self.buckets[bucket] = slot as u32;
+        }
+    }
+
+    /// Empties the map by emptying only the buckets in use, newest node
+    /// first: every bucket on a node's probe path was filled by an older
+    /// node, which is still in place when the node's own bucket empties.
+    fn clear(&mut self) {
+        for slot in (0..self.nodes.len()).rev() {
+            let bucket = self.find(self.nodes[slot]);
+            self.buckets[bucket] = FREE;
+        }
+        self.nodes.clear();
+    }
+}
+
 /// Everything one game knows about one node it touched.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    node: NodeId,
     /// Whether the node is in `S_v`.
     explored: bool,
     /// The adjacency list's range of [`CoinGameScratch::adjacency`], copied
@@ -166,8 +295,8 @@ struct Slot {
 }
 
 /// The reusable state of one game: every node the game touches gets a
-/// dense slot, found through an epoch-stamped node → slot map over the
-/// oracle's graph, and all per-node data lives in slot-indexed vectors.
+/// dense slot, found through a [`SlotMap`] sized to the game, and all
+/// per-node data lives in slot-indexed vectors.
 ///
 /// A partition round plays one game per residual node, each in a scratch
 /// leased from a pool; once a scratch is warm a game allocates nothing.
@@ -175,7 +304,7 @@ struct Slot {
 /// into a later game.
 #[derive(Debug, Default)]
 pub(crate) struct CoinGameScratch {
-    slot_of: EpochMap,
+    slot_of: SlotMap,
     slots: Vec<Slot>,
     /// Arena of the explored nodes' adjacency lists.
     adjacency: Vec<NodeId>,
@@ -195,26 +324,25 @@ pub(crate) struct CoinGameScratch {
 }
 
 impl CoinGameScratch {
-    /// Forgets the previous game and sizes the node → slot map for a graph
-    /// of `num_nodes` nodes.
-    fn reset(&mut self, num_nodes: usize) {
-        self.slot_of.reset(num_nodes);
+    /// Forgets the previous game.
+    fn reset(&mut self) {
+        self.slot_of.clear();
         self.slots.clear();
         self.adjacency.clear();
         self.explored.clear();
     }
 
+    /// The node of `slot`.
+    fn node(&self, slot: usize) -> NodeId {
+        self.slot_of.nodes[slot]
+    }
+
     /// The slot of `node`, created on first touch.
     fn slot(&mut self, node: NodeId) -> usize {
-        if let Some(slot) = self.slot_of.get(node) {
-            return slot as usize;
+        let (slot, inserted) = self.slot_of.insert(node);
+        if inserted {
+            self.slots.push(Slot::default());
         }
-        let slot = self.slots.len();
-        self.slots.push(Slot {
-            node,
-            ..Slot::default()
-        });
-        self.slot_of.insert(node, slot as u32);
         slot
     }
 
@@ -222,7 +350,6 @@ impl CoinGameScratch {
     fn explored_slot(&self, node: NodeId) -> Option<usize> {
         self.slot_of
             .get(node)
-            .map(|slot| slot as usize)
             .filter(|&slot| self.slots[slot].explored)
     }
 
@@ -231,7 +358,7 @@ impl CoinGameScratch {
     fn explore(&mut self, oracle: &LcaOracle<'_>, slot: usize) -> Result<(), ModelError> {
         let start = self.adjacency.len();
         self.adjacency
-            .extend_from_slice(oracle.neighbors(self.slots[slot].node)?);
+            .extend_from_slice(oracle.neighbors(self.node(slot))?);
         let info = &mut self.slots[slot];
         info.neighbors = start..self.adjacency.len();
         info.explored = true;
@@ -285,7 +412,8 @@ impl CoinGameScratch {
     /// The forwarding set `F(σ_{S_v}, u)` of Definition 4.1 for the
     /// explored node of `slot`, as a range of the forwarding arena: the
     /// `min(deg(u), β + 1)` neighbors with the highest `σ` values. Computed
-    /// on first use in super-iteration `round` (only coin holders need one).
+    /// on first use in super-iteration `round` (only holders that forward
+    /// need one).
     ///
     /// Neighbors outside `S_v` have `σ = ∞`; ties among `∞`-valued neighbors
     /// are broken in favor of *unexplored* nodes (driving the exploration
@@ -353,12 +481,12 @@ impl CoinGameScratch {
         for index in 0..self.holders.len() {
             let holder = self.holders[index];
             let amount = self.slots[holder].coins;
-            let targets = if self.slots[holder].explored {
-                self.forwarding_set(holder, round, beta)
-            } else {
-                0..0
-            };
-            if !targets.is_empty() && amount >= targets.len() as f64 {
+            // |F(σ, u)| = min(deg(u), β + 1), known before the set is built
+            // (an unexplored holder has no adjacency yet, so 0): only a
+            // holder that forwards ranks its neighbors.
+            let fanout = self.slots[holder].neighbors.len().min(beta + 1);
+            if fanout > 0 && amount >= fanout as f64 {
+                let targets = self.forwarding_set(holder, round, beta);
                 let share = amount / targets.len() as f64;
                 for offset in targets {
                     let target = self.slot(self.forwarding[offset]);
@@ -369,11 +497,10 @@ impl CoinGameScratch {
                 self.receive(holder, step, amount);
             }
         }
-        let slots = &mut self.slots;
-        self.receivers
-            .sort_unstable_by_key(|&slot| slots[slot].node);
+        let nodes = &self.slot_of.nodes;
+        self.receivers.sort_unstable_by_key(|&slot| nodes[slot]);
         for &slot in &self.receivers {
-            slots[slot].coins = slots[slot].incoming;
+            self.slots[slot].coins = self.slots[slot].incoming;
         }
         std::mem::swap(&mut self.holders, &mut self.receivers);
         moved
@@ -383,8 +510,8 @@ impl CoinGameScratch {
     /// `(node, layer)` pairs in the order the nodes joined `S_v`.
     pub(crate) fn sigma(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
         self.explored.iter().filter_map(|&slot| {
-            let info = &self.slots[slot];
-            (info.level != INFINITE).then_some((info.node, info.level))
+            let level = self.slots[slot].level;
+            (level != INFINITE).then_some((self.node(slot), level))
         })
     }
 
@@ -480,7 +607,7 @@ impl<'o, 'g> CoinGame<'o, 'g> {
         let mut explored: Vec<NodeId> = scratch
             .explored
             .iter()
-            .map(|&slot| scratch.slots[slot].node)
+            .map(|&slot| scratch.node(slot))
             .collect();
         explored.sort_unstable();
         let mut sigma: Vec<(NodeId, usize)> = scratch.sigma().collect();
@@ -510,7 +637,7 @@ impl<'o, 'g> CoinGame<'o, 'g> {
     ) -> Result<CoinGameSummary, ModelError> {
         let queries_before = self.oracle.queries_used();
         let beta = self.config.beta;
-        scratch.reset(self.oracle.num_nodes());
+        scratch.reset();
         let root_slot = scratch.slot(root);
         scratch.explore(self.oracle, root_slot)?;
 
@@ -518,6 +645,7 @@ impl<'o, 'g> CoinGame<'o, 'g> {
         let flow_iterations = self.config.effective_flow_iterations();
         let mut super_iterations_run = 0usize;
         let mut step = 0usize;
+        let mut settled = false;
 
         for round in 1..=max_super_iterations {
             super_iterations_run = round;
@@ -546,12 +674,18 @@ impl<'o, 'g> CoinGame<'o, 'g> {
                 }
             }
             if scratch.explored.len() == explored_before {
-                // The next super-iteration would be identical: stop early.
+                // The next super-iteration would be identical, and σ is
+                // already that of the final `S_v`: stop early.
+                settled = true;
                 break;
             }
         }
 
-        scratch.induced_levels(beta);
+        if !settled {
+            // The cap ended the game, so the last super-iteration's new
+            // nodes (or, with a cap of 0, the root) still lack their σ.
+            scratch.induced_levels(beta);
+        }
         let sigma_root = match scratch.slots[root_slot].level {
             INFINITE => Layer::Infinite,
             layer => Layer::Finite(layer),
@@ -569,9 +703,10 @@ impl<'o, 'g> CoinGame<'o, 'g> {
 mod tests {
     use super::*;
     use crate::induced::natural_partition;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use sparse_graph::{generators, CsrGraph};
+    use std::collections::HashMap;
 
     fn play(graph: &CsrGraph, root: NodeId, config: CoinGameConfig) -> CoinGameResult {
         let oracle = LcaOracle::new(graph);
@@ -696,18 +831,33 @@ mod tests {
     #[test]
     fn a_reused_scratch_plays_like_a_fresh_one() {
         // A game leaves its state in the scratch; the next game — on the
-        // same graph or a smaller one — must not see any of it.
+        // same graph or a smaller one — must not see any of it. The tree
+        // game comes first and grows the slot map past its first table.
         let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let tree = generators::complete_kary_tree(4, 3);
         let large = generators::preferential_attachment(300, 3, &mut rng);
         let small = generators::star(40);
+        let tree_config = CoinGameConfig::new(16, 3);
         let config = CoinGameConfig::new(6, 8);
         let mut scratch = CoinGameScratch::default();
-        for (graph, roots) in [(&large, 0..300), (&small, 0..40), (&large, 250..300)] {
+        for (graph, config, roots) in [
+            (&tree, tree_config, 0..1),
+            (&large, config, 0..300),
+            (&small, config, 0..40),
+            (&large, config, 250..300),
+        ] {
             let oracle = LcaOracle::new(graph);
             for root in roots.step_by(7) {
                 let summary = CoinGame::new(&oracle, config)
                     .play(root, &mut scratch)
                     .unwrap();
+                // The explored order, not just the set, matches a fresh
+                // scratch's.
+                let mut fresh_scratch = CoinGameScratch::default();
+                CoinGame::new(&oracle, config)
+                    .play(root, &mut fresh_scratch)
+                    .unwrap();
+                assert!(scratch.sigma().eq(fresh_scratch.sigma()), "root {root}");
                 let mut sigma: Vec<(NodeId, usize)> = scratch.sigma().collect();
                 sigma.sort_unstable();
                 let fresh = play(graph, root, config);
@@ -718,6 +868,66 @@ mod tests {
                 assert_eq!(summary.explored, fresh.explored.len());
             }
         }
+        // The table never shrinks: the later games ran on the grown one.
+        assert!(scratch.slot_of.buckets.len() > MIN_BUCKETS, "the map grew");
+    }
+
+    #[test]
+    fn slot_map_matches_a_hash_map_oracle() {
+        // Seeded insert/get/clear sequences. Games of up to 400 nodes grow
+        // the table past 64 buckets and later games run on the grown table. Multiplier 1 sends every id below 2^44 to bucket 0,
+        // so every probe path is one long run that wraps around the table.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for multiplier in [SlotMap::default().multiplier, 1] {
+            let mut map = SlotMap::with_multiplier(multiplier);
+            for game in 0..60 {
+                let base = rng.gen_range(0..1usize << 40);
+                let span = rng.gen_range(1..400usize);
+                let mut oracle: HashMap<NodeId, usize> = HashMap::new();
+                for _ in 0..rng.gen_range(0..500usize) {
+                    let node = base + rng.gen_range(0..span);
+                    if rng.gen_bool(0.5) {
+                        let next = oracle.len();
+                        let slot = *oracle.entry(node).or_insert(next);
+                        assert_eq!(map.insert(node), (slot, slot == next), "game {game}");
+                    } else {
+                        assert_eq!(map.get(node), oracle.get(&node).copied(), "game {game}");
+                    }
+                }
+                assert!(
+                    2 * map.nodes.len() <= map.buckets.len(),
+                    "at most half full"
+                );
+                for (&node, &slot) in &oracle {
+                    assert_eq!(map.nodes[slot], node);
+                }
+                map.clear();
+                assert!(map.nodes.is_empty());
+                assert!(
+                    map.buckets.iter().all(|&slot| slot == FREE),
+                    "game {game} left a bucket in use"
+                );
+            }
+            assert!(map.buckets.len() > 64, "the table grew past 64 buckets");
+        }
+    }
+
+    #[test]
+    fn a_holder_forwards_only_when_its_coins_cover_its_forwarding_set() {
+        // The hub of a star has degree 19, so |F| = min(19, β + 1) = 4 at
+        // β = 3: with x = 3 coins it keeps them and the game explores only
+        // the hub; with x = 4 its first super-iteration pays four leaves
+        // one coin each.
+        let graph = generators::star(20);
+        let short = play(&graph, 0, CoinGameConfig::new(3, 3));
+        assert_eq!(short.explored, vec![0]);
+        assert_eq!(short.super_iterations_run, 1);
+        let covered = play(
+            &graph,
+            0,
+            CoinGameConfig::new(4, 3).with_super_iterations(1),
+        );
+        assert_eq!(covered.explored.len(), 5);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!   only from the prefix sum of the costs, splitting skewed index ranges
 //!   into many small stealable tasks without touching the bit-identity
 //!   contract.
-//! * [`MarkerSet`] / [`ScratchPool`] — the allocation-discipline vocabulary:
-//!   epoch-stamped membership sets with O(1) clear and thread-indexed,
-//!   generation-checked reusable-buffer leasing
+//! * [`BitSet`] / [`ScratchPool`] — the allocation-discipline vocabulary:
+//!   word-packed color sets with word-scan free-color queries and
+//!   thread-indexed, generation-checked reusable-buffer leasing
 //!   ([`RoundPrimitives::scratch_pool`], leased once per chunk through the
 //!   per-chunk factories of [`RoundEngine::round`] and
 //!   [`RoundPrimitives::par_node_map_weighted_into`]), plus `*_into`
@@ -120,9 +120,7 @@ pub use engine::RoundEngine;
 pub use perf::{PerfCounters, PerfSink};
 pub use pool::{parallel_map, parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
 pub use rounds::RoundPrimitives;
-pub use scratch::{
-    scratch_totals, BitSet, EpochMap, MarkerSet, ScratchCounters, ScratchLease, ScratchPool,
-};
+pub use scratch::{scratch_totals, BitSet, ScratchCounters, ScratchLease, ScratchPool};
 pub use trace::{
     chrome_trace_json, span_on, LatencyHistogram, SpanGuard, TraceContext, TraceEvent,
     TraceTimeline,

@@ -9,11 +9,9 @@
 //! spread around, not remove. This module is the vocabulary that removes
 //! them:
 //!
-//! * [`MarkerSet`] — an epoch-stamped membership set with O(1) clear: the
-//!   standard replacement for repeated small `vec![false; n]` scratch.
-//!   Marking stamps the current epoch; clearing just bumps the epoch.
-//! * [`EpochMap`] — the same stamping with a `u32` per slot: an
-//!   O(1)-clear dense-id → slot map (the coin game's node index).
+//! * [`BitSet`] — a word-packed set over a small universe with word-scan
+//!   free-color queries: the KW sweeps' and recolor waves' replacement
+//!   for the per-node `vec![false; palette]`.
 //! * [`ScratchPool`] — a thread-indexed pool of reusable `T: Default`
 //!   buffers. A caller [`ScratchPool::lease`]s a buffer, resets it before
 //!   each use and returns it on drop; in steady state no lease allocates.
@@ -138,7 +136,7 @@ struct Entry<T> {
 /// shard (or creates a fresh `T::default()` when none is cached — counted
 /// as an alloc); dropping the returned [`ScratchLease`] pushes the buffer
 /// back for the next lease. The pool never clears buffers itself: `T` is
-/// expected to expose a cheap logical reset (e.g. [`MarkerSet::reset`],
+/// expected to expose a cheap logical reset (e.g. [`BitSet::reset`],
 /// `Vec::clear`) that the *user* of the lease applies, so stale contents
 /// can never influence results even when a buffer migrates between
 /// workloads.
@@ -272,146 +270,13 @@ impl<T: Default> Drop for ScratchLease<'_, T> {
     }
 }
 
-/// Epoch-stamped slots over `0..len`, each carrying a `T`: the storage
-/// behind [`MarkerSet`] and [`EpochMap`].
+/// A word-packed bitset over a small universe `0..len`, the color set of
+/// the elimination sweeps and recoloring waves.
 ///
-/// Every slot stores the epoch at which it was last written; a read
-/// compares against the current epoch, so [`Stamped::reset`] clears the
-/// whole domain by bumping the epoch (and re-zeroes the stamps only on the
-/// one-in-`u32::MAX` wraparound, keeping stale stamps from a
-/// four-billion-reset-old epoch from reading as live).
-#[derive(Debug, Default)]
-struct Stamped<T> {
-    slots: Vec<(u32, T)>,
-    epoch: u32,
-}
-
-impl<T: Copy + Default> Stamped<T> {
-    fn reset(&mut self, len: usize) {
-        if self.slots.len() < len {
-            self.slots.resize(len, (0, T::default()));
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(epoch) => epoch,
-            None => {
-                // Wraparound: epoch 0 would collide with never-written
-                // slots' initial stamp, and old stamps would alias future
-                // epochs — re-zero everything and restart at 1.
-                for slot in &mut self.slots {
-                    slot.0 = 0;
-                }
-                1
-            }
-        };
-    }
-
-    #[inline]
-    fn set(&mut self, index: usize, value: T) {
-        self.slots[index] = (self.epoch, value);
-    }
-
-    #[inline]
-    fn get(&self, index: usize) -> Option<T> {
-        let (stamp, value) = self.slots[index];
-        (stamp == self.epoch).then_some(value)
-    }
-}
-
-/// An epoch-stamped membership set over `0..len` with O(1) clear — the
-/// allocation-free replacement for the per-item `vec![false; len]` pattern
-/// in the simulators' inner loops.
-///
-/// Marking stamps the current epoch; [`MarkerSet::reset`] clears the whole
-/// set by bumping it.
-#[derive(Debug, Default)]
-pub struct MarkerSet(Stamped<()>);
-
-impl MarkerSet {
-    /// An empty set ([`MarkerSet::reset`] sizes it).
-    pub fn new() -> Self {
-        MarkerSet::default()
-    }
-
-    /// Clears the set and ensures it covers `0..len`. O(1) except when the
-    /// domain grows or the epoch wraps around.
-    pub fn reset(&mut self, len: usize) {
-        self.0.reset(len);
-    }
-
-    /// Marks `index` as a member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the domain of the last
-    /// [`MarkerSet::reset`].
-    #[inline]
-    pub fn mark(&mut self, index: usize) {
-        self.0.set(index, ());
-    }
-
-    /// Whether `index` was marked since the last [`MarkerSet::reset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the domain of the last
-    /// [`MarkerSet::reset`].
-    #[inline]
-    pub fn is_marked(&self, index: usize) -> bool {
-        self.0.get(index).is_some()
-    }
-}
-
-/// An epoch-stamped map from `0..len` to `u32` with O(1) clear — the
-/// [`MarkerSet`] companion for sparse id → dense slot lookups, e.g. the
-/// node → slot index of a coin game over a residual graph, where a
-/// `HashMap` would hash every probe and allocate per game.
-#[derive(Debug, Default)]
-pub struct EpochMap(Stamped<u32>);
-
-impl EpochMap {
-    /// An empty map ([`EpochMap::reset`] sizes it).
-    pub fn new() -> Self {
-        EpochMap::default()
-    }
-
-    /// Clears the map and ensures it covers keys `0..len`. O(1) except
-    /// when the domain grows or the epoch wraps around.
-    pub fn reset(&mut self, len: usize) {
-        self.0.reset(len);
-    }
-
-    /// Maps `key` to `value`, replacing any earlier value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the domain of the last
-    /// [`EpochMap::reset`].
-    #[inline]
-    pub fn insert(&mut self, key: usize, value: u32) {
-        self.0.set(key, value);
-    }
-
-    /// The value inserted for `key` since the last [`EpochMap::reset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the domain of the last
-    /// [`EpochMap::reset`].
-    #[inline]
-    pub fn get(&self, key: usize) -> Option<u32> {
-        self.0.get(key)
-    }
-}
-
-/// A word-packed bitset over a small universe `0..len` — the compact
-/// color-set companion to [`MarkerSet`].
-///
-/// Where [`MarkerSet`] spends a `u32` stamp per slot to buy O(1) clear over
-/// *large* domains, `BitSet` packs 64 slots per `u64` word: for the palette
-/// domains of the elimination sweeps and recoloring waves (tens to a few
-/// thousand colors) the whole set fits in a cache line or two, the clear is
-/// a short `memset`, and — the reason it exists — **free-color queries
-/// become word scans**: [`BitSet::first_absent`] / [`BitSet::last_absent`]
+/// `BitSet` packs 64 slots per `u64` word: for palette domains (tens to a
+/// few thousand colors) the whole set fits in a cache line or two, the
+/// clear is a short `memset`, and — the reason it exists — **free-color
+/// queries become word scans**: [`BitSet::first_absent`] / [`BitSet::last_absent`]
 /// replace per-color probe loops with `!word` plus a trailing/leading-zero
 /// count, 64 candidate colors per instruction.
 #[derive(Debug, Default)]
@@ -511,80 +376,6 @@ impl BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn marker_set_clears_in_constant_time() {
-        let mut marks = MarkerSet::new();
-        marks.reset(10);
-        marks.mark(3);
-        marks.mark(7);
-        assert!(marks.is_marked(3));
-        assert!(marks.is_marked(7));
-        assert!(!marks.is_marked(4));
-        marks.reset(10);
-        for i in 0..10 {
-            assert!(!marks.is_marked(i), "slot {i} survived a reset");
-        }
-        // Growing the domain keeps new slots unmarked.
-        marks.mark(1);
-        marks.reset(20);
-        for i in 0..20 {
-            assert!(!marks.is_marked(i));
-        }
-    }
-
-    #[test]
-    fn marker_set_epoch_wraparound_cannot_resurrect_stale_marks() {
-        let mut marks = MarkerSet::new();
-        marks.reset(4);
-        marks.mark(2);
-        // Fast-forward to the wraparound edge: the next reset overflows.
-        marks.0.epoch = u32::MAX;
-        marks.0.slots[1].0 = u32::MAX; // "marked at the last pre-wrap epoch"
-        marks.reset(4);
-        assert_eq!(marks.0.epoch, 1, "wraparound restarts at epoch 1");
-        for i in 0..4 {
-            assert!(!marks.is_marked(i), "slot {i} read as marked after wrap");
-        }
-        marks.mark(0);
-        assert!(marks.is_marked(0));
-        assert!(!marks.is_marked(1));
-        // A stamp that happened to hold the restarted epoch was re-zeroed.
-        let mut aliased = MarkerSet::new();
-        aliased.reset(2);
-        aliased.mark(0); // stamp 1 — would alias epoch 1 after a wrap
-        aliased.0.epoch = u32::MAX;
-        aliased.reset(2);
-        assert!(
-            !aliased.is_marked(0),
-            "pre-wrap stamp aliased the new epoch"
-        );
-    }
-
-    #[test]
-    fn epoch_map_clears_in_constant_time_and_survives_wraparound() {
-        let mut map = EpochMap::new();
-        map.reset(8);
-        map.insert(3, 30);
-        map.insert(5, 50);
-        map.insert(3, 31);
-        assert_eq!(map.get(3), Some(31));
-        assert_eq!(map.get(5), Some(50));
-        assert_eq!(map.get(4), None);
-        map.reset(16);
-        for key in 0..16 {
-            assert_eq!(map.get(key), None, "key {key} survived a reset");
-        }
-        // The wraparound shares the marker set's handling: a value stored
-        // before the wrap must not resurface once the epoch restarts.
-        map.insert(2, 7);
-        map.0.epoch = u32::MAX;
-        map.reset(16);
-        assert_eq!(map.0.epoch, 1);
-        assert_eq!(map.get(2), None, "pre-wrap value aliased the new epoch");
-        map.insert(2, 9);
-        assert_eq!(map.get(2), Some(9));
-    }
 
     #[test]
     fn scratch_pool_recycles_buffers_and_counts() {

@@ -109,6 +109,21 @@ fn coin_game_digests_match_the_reference() {
             CoinGameConfig::new(16, 3),
             0x499a_58dc_6e59_0042,
         ),
+        // Games stopped by the super-iteration cap rather than by a
+        // super-iteration that explores nothing: σ must be recomputed
+        // over the nodes the last super-iteration added.
+        (
+            "forest-union-capped",
+            &forest,
+            CoinGameConfig::new(4, 5).with_super_iterations(1),
+            0x5367_8ebe_cd02_12f2,
+        ),
+        (
+            "power-law-capped",
+            &power_law,
+            CoinGameConfig::new(4, 8).with_super_iterations(1),
+            0x191b_f319_359c_6a70,
+        ),
     ];
     let mut mismatches = Vec::new();
     for (name, graph, config, expected) in cases {
