@@ -1,6 +1,6 @@
 //! Tiny `--flag=value` argument parsing shared by the workspace's binaries
-//! (`experiments`, `loadgen`, `ampc-serve`); the build has no registry
-//! access, so there is no clap.
+//! (`experiments`, `intra_bench`, `loadgen`, `ampc-serve`); the build has
+//! no registry access, so there is no clap.
 
 /// Last value of `--{name}=value` parsed as `T`, if present and parseable.
 pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
@@ -14,6 +14,20 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T
 /// Whether the bare flag `--{name}` is present.
 pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|arg| arg == &format!("--{name}"))
+}
+
+/// The first argument that is neither a bare flag `--{name}` with `name`
+/// in `bare` nor a `--{name}=value` with `name` in `valued`, if any.
+pub fn unknown_argument<'a>(args: &'a [String], bare: &[&str], valued: &[&str]) -> Option<&'a str> {
+    args.iter().map(String::as_str).find(|arg| {
+        let Some(flag) = arg.strip_prefix("--") else {
+            return true;
+        };
+        match flag.split_once('=') {
+            Some((name, _)) => !valued.contains(&name),
+            None => !bare.contains(&flag),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -31,5 +45,31 @@ mod tests {
         assert_eq!(parse_flag::<usize>(&args, "missing"), None);
         assert!(has_flag(&args, "smoke"));
         assert!(!has_flag(&args, "jobs"));
+    }
+
+    #[test]
+    fn unknown_argument_finds_the_first_argument_outside_the_lists() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        let (bare, valued) = (&["smoke", "trace"][..], &["n", "alloc-budget"][..]);
+        let known = args(&["--smoke", "--n=5", "--alloc-budget=4096", "--trace", "--n="]);
+        assert_eq!(unknown_argument(&known, bare, valued), None);
+        assert_eq!(unknown_argument(&[], bare, valued), None);
+        for (list, unknown) in [
+            (
+                &["--smoke", "--alloc_budget=4096"][..],
+                "--alloc_budget=4096",
+            ),
+            (&["--help"][..], "--help"),
+            (&["--n"][..], "--n"),
+            (&["--smoke=1"][..], "--smoke=1"),
+            (&["smoke"][..], "smoke"),
+            (&["-n=5", "--bogus"][..], "-n=5"),
+        ] {
+            assert_eq!(
+                unknown_argument(&args(list), bare, valued),
+                Some(unknown),
+                "{list:?}"
+            );
+        }
     }
 }

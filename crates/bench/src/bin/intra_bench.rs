@@ -11,8 +11,8 @@
 //! Four sections:
 //!
 //! * **balanced** — degeneracy-oriented forest-union / power-law graphs
-//!   (near-uniform per-node cost), the PR 3 matrix, plus the derand
-//!   simulator's bit-packed GF(2) kernels on the same graphs.
+//!   (near-uniform per-node cost), the seq-vs-parallel matrix, plus the
+//!   derandomized coloring on the same graphs.
 //! * **skewed** — power-law and hub-and-spoke graphs oriented **by node
 //!   id**, which piles most of the Arb-Linial work onto a few hub nodes
 //!   clustered in index space. Here every thread count runs twice: once
@@ -53,6 +53,8 @@
 //! `--trace` (attach one pre-allocated `TraceContext` to every cell's
 //! primitives so each simulator round records a span — the buffers are
 //! created before any cell runs, so the alloc gate holds with tracing on).
+//! `--help` prints the usage and exits 0; any other argument prints it
+//! and exits 2 before anything runs.
 //!
 //! Built with `--features alloc-count`, the bin installs a counting global
 //! allocator and the `allocs_per_round` column carries real heap-allocation
@@ -88,11 +90,11 @@ fn allocations_now() -> u64 {
     }
 }
 
-use ampc_coloring_bench::args::{has_flag, parse_flag};
+use ampc_coloring_bench::args::{has_flag, parse_flag, unknown_argument};
 use ampc_coloring_bench::{Table, Workload};
 use ampc_runtime::trace::TraceContext;
 use ampc_runtime::RuntimeConfig;
-use ampc_runtime::{perf, simd, PerfCounters, RoundPrimitives};
+use ampc_runtime::{perf, PerfCounters, RoundPrimitives};
 use arbo_coloring::{
     arb_linial_coloring_with_runtime, derandomized_coloring_relabeled,
     derandomized_coloring_with_runtime, kw_color_reduction_with_runtime, ArbLinialResult,
@@ -206,8 +208,26 @@ fn primitives_for(
     }
 }
 
+/// The accepted flags, printed for `--help` and on an unknown argument.
+const USAGE: &str = "usage: intra_bench [--smoke] [--trace] [--n=NODES] [--reps=R] \
+                     [--threads=a,b,c] [--relabel=a,b,c] [--alloc-budget=N] [--json=PATH]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Checked before anything runs: a misspelt gate flag must not run the
+    // matrix ungated and exit 0.
+    if has_flag(&args, "help") {
+        println!("{USAGE}");
+        return;
+    }
+    if let Some(unknown) = unknown_argument(
+        &args,
+        &["smoke", "trace"],
+        &["n", "reps", "threads", "relabel", "alloc-budget", "json"],
+    ) {
+        eprintln!("intra_bench: unknown argument `{unknown}`\n{USAGE}");
+        std::process::exit(2);
+    }
     let smoke = has_flag(&args, "smoke");
     let n: usize = parse_flag(&args, "n").unwrap_or(if smoke { 5_000 } else { 100_000 });
     let reps: usize = parse_flag(&args, "reps").unwrap_or(if smoke { 1 } else { 3 });
@@ -278,9 +298,7 @@ fn main() {
          rows: a partition row measured while the calibration reads under 1.8x is not \
          scaling evidence; \
          cycles/instructions/ipc/cache_miss_pct/branch_misses come from perf_event_open \
-         sampling of the best rep and read 0/'-' when the `perf_available` meta is false; \
-         simd_path is the per-process GF(2) kernel dispatch tier (avx2/sse2/scalar), a \
-         runner fact bench_diff treats as context, never a row key",
+         sampling of the best rep and read 0/'-' when the `perf_available` meta is false",
         &[
             "workload",
             "simulator",
@@ -296,7 +314,6 @@ fn main() {
             "ipc",
             "cache_miss_pct",
             "branch_misses",
-            "simd_path",
             "identical",
         ],
     );
@@ -307,8 +324,6 @@ fn main() {
             .to_string(),
     );
     table.push_meta("perf_available", perf::available().to_string());
-    table.push_meta("simd_available", simd::available().to_string());
-    table.push_meta("simd_path", simd::dispatch_path().to_string());
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut all_identical = true;
@@ -334,9 +349,9 @@ fn main() {
         // keep Δ small, so KW runs there only.
         let run_kw = matches!(workload, Workload::ForestUnion { .. });
 
-        // Derand's cost is dominated by the per-edge GF(2) parity sweeps —
-        // the loops the bit-packed word kernels accelerate — so it rides
-        // in the balanced section on the same graphs.
+        // Derand's cost is dominated by the seed search's per-edge
+        // counting passes over one-word GF(2) queries, so it rides in the
+        // balanced section on the same graphs.
         let derand_params = DerandParams::with_x(2);
 
         let mut linial_reference: Option<ArbLinialResult> = None;
@@ -725,7 +740,6 @@ fn main() {
                 .cache_miss_rate()
                 .map_or_else(|| "-".to_string(), |v| format!("{:.1}", v * 100.0)),
             cell.perf.branch_misses.to_string(),
-            simd::dispatch_path().to_string(),
             cell.identical.to_string(),
         ]);
     }

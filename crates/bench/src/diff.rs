@@ -401,17 +401,6 @@ fn policy_for(header: &str, config: &DiffConfig) -> Option<Policy> {
             direction: Direction::DownIsBad,
             ..wall
         }),
-        // The SIMD dispatch tier is a per-runner fact, not a metric: an
-        // avx2 baseline diffed on an sse2 (or AMPC_SIMD=0) runner must
-        // neither key rows apart nor fail the gate. The cells are
-        // non-numeric, so the numeric guard skips them — the policy
-        // exists to keep the column out of the row key.
-        "simd_path" => Some(Policy {
-            severity: Severity::Info,
-            direction: Direction::UpIsBad,
-            rel_threshold: config.rel_threshold,
-            abs_floor: config.abs_floor,
-        }),
         // Hardware counters and scheduler task counts: context only.
         // Perf counters vary with multiplexing (and are all-zero when
         // unavailable); task counts vary with work-stealing interleaving.
@@ -805,18 +794,6 @@ mod tests {
         let current = table(headers, &[&["forest", "1.42", "10.000"]]);
         let report = diff_tables(&baseline, &current, &DiffConfig::default());
         assert!(!report.failed);
-        assert!(report.deltas.is_empty(), "{report:?}");
-    }
-
-    #[test]
-    fn simd_path_variance_across_runners_is_not_a_regression() {
-        // Same cells, different dispatch tier: rows must still pair up
-        // (simd_path is not part of the row key) and nothing may fail.
-        let headers: &[&str] = &["workload", "threads", "wall_ms", "simd_path", "identical"];
-        let baseline = table(headers, &[&["forest", "4", "10.000", "avx2", "true"]]);
-        let current = table(headers, &[&["forest", "4", "10.000", "scalar", "true"]]);
-        let report = diff_tables(&baseline, &current, &DiffConfig::default());
-        assert!(!report.failed, "{report:?}");
         assert!(report.deltas.is_empty(), "{report:?}");
     }
 

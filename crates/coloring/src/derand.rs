@@ -22,16 +22,22 @@
 //! aggregation, matching the `O(log_x n)` rounds (for constant `δ`) of the
 //! theorem.
 //!
-//! # Bit-packed GF(2) representation
+//! # One-word GF(2) representation
 //!
-//! Everything GF(2)-valued here — seed rows, node encodings, the per-phase
-//! edge-query table — is packed 64 coordinates per `u64` word and operated
-//! on with the word/SIMD kernels of [`ampc_runtime::simd`]. A seed row is
-//! a pair of masks (`fixed` = which coordinates are decided, `value` ⊆
-//! `fixed` = which are decided *to 1*). Per color bit, an edge query `d`
-//! collides with probability 1/2 while any queried coordinate is still
-//! free, and otherwise with probability 1 or 0 as the fixed parity
-//! `popcount(d & value) & 1` hits or misses the target bit.
+//! A query has `cols = id_bits + 1` coordinates, and `cols ≤ 64` for every
+//! graph a `Vec` can index (`n < 2^63`), so everything GF(2)-valued here is
+//! a single `u64`. Node `v` encodes as `v | 1 << (cols - 1)`; an edge's
+//! query is one word in the phase's query table. A seed row is a pair of
+//! words (`fixed` = which coordinates are decided, `value` ⊆ `fixed` =
+//! which are decided *to 1*). Per color bit, a query `d` collides with
+//! probability 1/2 while `d & !fixed != 0` (a queried coordinate is still
+//! free), and otherwise with probability 1 or 0 as the fixed parity
+//! `(d & value).count_ones() & 1` hits or misses the target bit.
+//!
+//! The query table is built per phase from `U`'s adjacency: a `U`–`U` edge
+//! is taken once, from its smaller endpoint, and a `U`–colored edge from
+//! its `U` endpoint, so the scan costs `Σ_{v ∈ U} deg(v)`, not `|E|`, once
+//! `U` has shrunk. Table order is free (see below).
 //!
 //! # Seed search by counting
 //!
@@ -66,9 +72,6 @@
 use ampc_model::mpc::{MpcConfig, MpcCostTracker};
 use ampc_runtime::{simd, RoundPrimitives};
 use sparse_graph::{Coloring, CsrGraph, NodeId, NodePermutation, PartialColoring};
-
-/// Bits per packed GF(2) word.
-const WORD_BITS: usize = 64;
 
 /// Parameters of the derandomized coloring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,97 +135,83 @@ fn half_pow(k: u32) -> f64 {
     f64::from_bits(u64::from(1023 - k) << 52)
 }
 
-/// Bits of `v`'s id field landing in packed word `word` of an encoding
-/// with `cols` coordinates: coordinates `64·word ..` clipped to the id
-/// field `0..cols-1` (coordinate `cols-1` is the appended constant 1,
-/// never an id bit). Shared by [`encode_into`] and the seed's per-node
-/// parity so the two can never disagree on clipping.
-fn id_field_word(v: NodeId, cols: usize, word: usize) -> u64 {
-    let base = word * WORD_BITS;
-    let field = cols - 1;
-    if base >= field {
-        return 0;
-    }
-    let mut bits = if base >= usize::BITS as usize {
-        0
+/// The seed's column count for an `n`-node graph: the bits of the largest
+/// id plus the appended constant coordinate. At most 64 for every `n` a
+/// `Vec` can index (`n < 2^63`), so a query always fits one word.
+fn column_count(n: usize) -> usize {
+    let id_bits = (usize::BITS - n.max(2).leading_zeros()) as usize;
+    let cols = id_bits + 1;
+    assert!(cols <= 64, "{n} nodes need {cols} GF(2) columns");
+    cols
+}
+
+/// Node `v`'s GF(2) encoding over `cols` coordinates: its id bits on
+/// coordinates `0..cols - 1` and the constant 1 on `cols - 1`, so an
+/// encoding is never zero and distinct nodes differ.
+fn encode(v: NodeId, cols: usize) -> u64 {
+    let constant = 1u64 << (cols - 1);
+    (v as u64 & (constant - 1)) | constant
+}
+
+/// The GF(2) inner product's value: whether `word` has odd popcount.
+fn parity(word: u64) -> bool {
+    word.count_ones() & 1 == 1
+}
+
+/// The `len` (`≤ 64`) low bits set.
+fn low_mask(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
     } else {
-        (v >> base) as u64
-    };
-    let available = field - base;
-    if available < WORD_BITS {
-        bits &= (1u64 << available) - 1;
+        (1 << len) - 1
     }
-    bits
 }
 
 /// The seed: a 0/1 matrix over GF(2) with `rows = color bits` and
-/// `cols = node-id bits + 1`, stored as two word-packed masks per row.
+/// `cols = node-id bits + 1`, stored as two masks per row, one word each.
 /// Flat bit index `r * cols + c` addresses entry `(r, c)`, matching the
 /// batch loop's bit numbering.
 #[derive(Debug, Clone)]
 struct Seed {
-    rows: usize,
     cols: usize,
-    /// Packed words per row: `cols.div_ceil(64)`.
-    words: usize,
-    /// Bit set ⇔ the coordinate has been fixed (by a candidate write or a
-    /// committed batch); clear ⇔ still random.
+    /// Per row, bit set ⇔ the coordinate has been fixed (by a candidate
+    /// write or a committed batch); clear ⇔ still random.
     fixed: Vec<u64>,
-    /// Bit set ⇔ fixed *to 1*. Invariant: `value ⊆ fixed` — [`Seed::set_bit`]
-    /// clears the value bit whenever it fixes a coordinate to 0, so parity
-    /// masks never see stale candidate bits.
+    /// Per row, bit set ⇔ fixed *to 1*. Invariant: `value ⊆ fixed` —
+    /// [`Seed::set_bit`] clears the value bit whenever it fixes a
+    /// coordinate to 0, so parity masks never see stale candidate bits.
     value: Vec<u64>,
 }
 
 impl Seed {
     fn new(rows: usize, cols: usize) -> Self {
-        let words = cols.div_ceil(WORD_BITS);
         Seed {
-            rows,
             cols,
-            words,
-            fixed: vec![0; rows * words],
-            value: vec![0; rows * words],
+            fixed: vec![0; rows],
+            value: vec![0; rows],
         }
-    }
-
-    #[cfg(test)]
-    fn row_fixed(&self, row: usize) -> &[u64] {
-        &self.fixed[row * self.words..(row + 1) * self.words]
-    }
-
-    fn row_value(&self, row: usize) -> &[u64] {
-        &self.value[row * self.words..(row + 1) * self.words]
     }
 
     /// Fixes flat bit `bit_index` (= `row * cols + col`) to `bit`,
     /// overwriting any earlier fixing.
     fn set_bit(&mut self, bit_index: usize, bit: bool) {
         let (row, col) = (bit_index / self.cols, bit_index % self.cols);
-        let word = row * self.words + col / WORD_BITS;
-        let mask = 1u64 << (col % WORD_BITS);
-        self.fixed[word] |= mask;
+        let mask = 1u64 << col;
+        self.fixed[row] |= mask;
         if bit {
-            self.value[word] |= mask;
+            self.value[row] |= mask;
         } else {
-            self.value[word] &= !mask;
+            self.value[row] &= !mask;
         }
     }
 
     /// The color of node `v` once every bit is fixed: one masked parity
-    /// per row, straight off `v`'s bits — no per-node encoding buffer.
+    /// of `v`'s encoding per row.
     fn color_of(&self, v: NodeId) -> usize {
+        let d = encode(v, self.cols);
         let mut color = 0usize;
-        let constant = self.cols - 1;
-        for row in 0..self.rows {
-            let value = self.row_value(row);
-            let mut folded = 0u64;
-            for (word, &mask) in value.iter().enumerate() {
-                folded ^= mask & id_field_word(v, self.cols, word);
-            }
-            // The appended constant-1 coordinate.
-            let constant_hit = value[constant / WORD_BITS] >> (constant % WORD_BITS) & 1;
-            if (u64::from(folded.count_ones()) + constant_hit) & 1 == 1 {
+        for (row, &value) in self.value.iter().enumerate() {
+            if parity(d & value) {
                 color |= 1 << row;
             }
         }
@@ -240,13 +229,13 @@ impl Seed {
     /// candidates by counting instead (see the module docs); this direct
     /// product is the oracle its tests compare against.
     #[cfg(test)]
-    fn collision_probability(&self, d: &[u64], target: usize) -> f64 {
+    fn collision_probability(&self, d: u64, target: usize) -> f64 {
         let mut free_rows = 0u32;
-        for row in 0..self.rows {
+        for (row, (&fixed, &value)) in self.fixed.iter().zip(&self.value).enumerate() {
             let target_bit = (target >> row) & 1 == 1;
-            if simd::and_not_any(d, self.row_fixed(row)) {
+            if d & !fixed != 0 {
                 free_rows += 1;
-            } else if simd::masked_parity(d, self.row_value(row)) != target_bit {
+            } else if parity(d & value) != target_bit {
                 return 0.0;
             }
         }
@@ -254,36 +243,15 @@ impl Seed {
     }
 }
 
-/// Binary encoding of a node id with an appended constant-1 coordinate (so
-/// that the encoding is never the zero vector and distinct nodes differ),
-/// packed into `cols.div_ceil(64)` words in a reused buffer.
-fn encode_into(v: NodeId, cols: usize, out: &mut Vec<u64>) {
-    out.clear();
-    for word in 0..cols.div_ceil(WORD_BITS) {
-        out.push(id_field_word(v, cols, word));
-    }
-    let constant = cols - 1;
-    out[constant / WORD_BITS] |= 1u64 << (constant % WORD_BITS);
-}
-
-/// Columns `lo..lo + len` (`len ≤ 64`) of a packed GF(2) vector, as the
-/// low bits of a word.
-fn column_bits(d: &[u64], lo: usize, len: usize) -> u64 {
-    let (word, shift) = (lo / WORD_BITS, lo % WORD_BITS);
-    let mut bits = d[word] >> shift;
-    if shift + len > WORD_BITS {
-        bits |= d[word + 1] << (WORD_BITS - shift);
-    }
-    bits & low_mask(len)
-}
-
-/// The `len` (`≤ 64`) low bits set.
-fn low_mask(len: usize) -> u64 {
-    if len >= WORD_BITS {
-        u64::MAX
-    } else {
-        (1 << len) - 1
-    }
+/// One edge of a phase's query table: the GF(2) query `d` (never zero)
+/// and the color `M·d` must equal for the edge to end monochromatic —
+/// 0 for a `U`–`U` edge (`d` is the XOR of the two encodings), the
+/// neighbor's fixed color for a `U`–colored edge (`d` encodes the `U`
+/// endpoint).
+#[derive(Debug, Clone, Copy)]
+struct Query {
+    d: u64,
+    target: usize,
 }
 
 /// Bucket keys up to this many bits are counted in a dense table; wider
@@ -298,14 +266,16 @@ const DENSE_KEY_BITS: usize = 16;
 struct Segment {
     row: usize,
     lo: usize,
-    len: usize,
+    /// The batch's columns of the row shifted down by `lo`: `len` low
+    /// bits set.
+    columns: u64,
     offset: usize,
 }
 
 impl Segment {
     /// The segment's bits within a candidate assignment.
     fn mask(&self) -> u64 {
-        low_mask(self.len) << self.offset
+        self.columns << self.offset
     }
 }
 
@@ -315,10 +285,6 @@ impl Segment {
 struct BatchSearch {
     /// The touched rows of the current batch, in row order.
     segments: Vec<Segment>,
-    /// Columns `0..hi` of the batch's last row, where `hi` is the end of
-    /// the batch in that row: a query with a bit outside it keeps the row
-    /// free.
-    through: Vec<u64>,
     /// Dense bucket counts, all zero between batches.
     counts: Vec<u32>,
     /// Distinct keys of the dense table, or every key on the sorted path.
@@ -334,20 +300,16 @@ impl BatchSearch {
     /// number of monochromatic edges when flat seed bits `start..end` are
     /// fixed to candidate `a` (bit `i` of `a` ↦ seed bit `start + i`),
     /// scaled by `2^(F+T)`. `seed` must have exactly the bits before
-    /// `start` fixed, and every edge of the query table (`dirs` with
-    /// stride `seed.words`, one target per edge) must hit its target on
+    /// `start` fixed, and every query of `table` must hit its target on
     /// every fully fixed row.
-    fn score_candidates(
-        &mut self,
-        seed: &Seed,
-        start: usize,
-        end: usize,
-        dirs: &[u64],
-        targets: &[usize],
-    ) {
-        let (cols, words) = (seed.cols, seed.words);
+    fn score_candidates(&mut self, seed: &Seed, start: usize, end: usize, table: &[Query]) {
+        let cols = seed.cols;
         let width = end - start;
         let (first_row, last_row) = (start / cols, (end - 1) / cols);
+        // Columns `0..hi` of the batch's last row, where `hi` is the end
+        // of the batch in that row: a query with a bit outside them keeps
+        // the row free.
+        let through = low_mask((end - 1) % cols + 1);
         self.segments.clear();
         for row in first_row..=last_row {
             let lo = if row == first_row { start % cols } else { 0 };
@@ -359,7 +321,7 @@ impl BatchSearch {
             self.segments.push(Segment {
                 row,
                 lo,
-                len: hi - lo,
+                columns: low_mask(hi - lo),
                 offset: row * cols + lo - start,
             });
         }
@@ -367,34 +329,22 @@ impl BatchSearch {
         let key_bits = width + touched + 1;
         assert!(key_bits <= 64, "a {width}-bit seed batch is too wide");
         let free_bit = 1u64 << (width + touched);
-        let through_columns = self.segments[touched - 1].lo + self.segments[touched - 1].len;
-        self.through.clear();
-        self.through.resize(words, 0);
-        for (word, mask) in self.through.iter_mut().enumerate() {
-            *mask = low_mask(
-                through_columns
-                    .saturating_sub(word * WORD_BITS)
-                    .min(WORD_BITS),
-            );
-        }
 
         // The counting pass: one key per live edge.
         let segments = &self.segments;
-        let through = &self.through;
-        let prefix_value = seed.row_value(first_row);
-        let key_of = |edge: usize| -> u64 {
-            let d = &dirs[edge * words..(edge + 1) * words];
-            debug_assert!(d.iter().any(|&word| word != 0), "queries are never zero");
+        let prefix_value = seed.value[first_row];
+        let key_of = |&Query { d, target }: &Query| -> u64 {
+            debug_assert_ne!(d, 0, "queries are never zero");
             let mut key = 0u64;
             for (i, segment) in segments.iter().enumerate() {
-                key |= column_bits(d, segment.lo, segment.len) << segment.offset;
-                let mut residual = (targets[edge] >> segment.row) & 1 == 1;
+                key |= (d >> segment.lo & segment.columns) << segment.offset;
+                let mut residual = (target >> segment.row) & 1 == 1;
                 if i == 0 {
-                    residual ^= simd::masked_parity(d, prefix_value);
+                    residual ^= parity(d & prefix_value);
                 }
                 key |= u64::from(residual) << (width + i);
             }
-            if simd::and_not_any(d, through) {
+            if d & !through != 0 {
                 key |= free_bit;
             }
             key
@@ -405,8 +355,8 @@ impl BatchSearch {
             if self.counts.len() < 1 << key_bits {
                 self.counts.resize(1 << key_bits, 0);
             }
-            for edge in 0..targets.len() {
-                let key = key_of(edge);
+            for query in table {
+                let key = key_of(query);
                 if self.counts[key as usize] == 0 {
                     self.keys.push(key);
                 }
@@ -417,7 +367,7 @@ impl BatchSearch {
                 self.buckets.push((key, u64::from(count)));
             }
         } else {
-            self.keys.extend((0..targets.len()).map(key_of));
+            self.keys.extend(table.iter().map(key_of));
             self.keys.sort_unstable();
             for run in self.keys.chunk_by(|a, b| a == b) {
                 self.buckets.push((run[0], run.len() as u64));
@@ -438,8 +388,7 @@ impl BatchSearch {
                     if free_last && i == last {
                         continue;
                     }
-                    let parity = u64::from((picked & segment.mask()).count_ones() & 1);
-                    if parity != (key >> (width + i)) & 1 {
+                    if parity(picked & segment.mask()) != ((key >> (width + i)) & 1 == 1) {
                         continue 'buckets;
                     }
                     shift += 1;
@@ -452,15 +401,8 @@ impl BatchSearch {
 
     /// The candidate minimizing the conditional expectation, the first one
     /// on ties (see [`BatchSearch::score_candidates`]).
-    fn best_assignment(
-        &mut self,
-        seed: &Seed,
-        start: usize,
-        end: usize,
-        dirs: &[u64],
-        targets: &[usize],
-    ) -> usize {
-        self.score_candidates(seed, start, end, dirs, targets);
+    fn best_assignment(&mut self, seed: &Seed, start: usize, end: usize, table: &[Query]) -> usize {
+        self.score_candidates(seed, start, end, table);
         // `min_by_key` keeps the first of equal minima.
         self.scores
             .iter()
@@ -470,23 +412,12 @@ impl BatchSearch {
     }
 }
 
-/// Drops, in place and in order, the query-table edges (`dirs` with
-/// stride `seed.words`, one target per edge) whose parity on the fully
+/// Drops, in place and in order, the queries whose parity on the fully
 /// fixed `row` missed the row's target bit: their collision probability
 /// is 0 for the rest of the phase.
-fn drop_missed_edges(seed: &Seed, row: usize, dirs: &mut Vec<u64>, targets: &mut Vec<usize>) {
-    let (words, value) = (seed.words, seed.row_value(row));
-    let mut kept = 0;
-    for edge in 0..targets.len() {
-        let d = &dirs[edge * words..(edge + 1) * words];
-        if simd::masked_parity(d, value) == ((targets[edge] >> row) & 1 == 1) {
-            dirs.copy_within(edge * words..(edge + 1) * words, kept * words);
-            targets[kept] = targets[edge];
-            kept += 1;
-        }
-    }
-    dirs.truncate(kept * words);
-    targets.truncate(kept);
+fn drop_missed_edges(seed: &Seed, row: usize, table: &mut Vec<Query>) {
+    let value = seed.value[row];
+    table.retain(|&Query { d, target }| parity(d & value) == ((target >> row) & 1 == 1));
 }
 
 /// Runs the deterministic `2x∆`-coloring of Theorem 1.5.
@@ -578,8 +509,7 @@ fn derand_run(
         .next_power_of_two()
         .max(2);
     let color_bits = palette.trailing_zeros() as usize;
-    let id_bits = (usize::BITS - n.max(2).leading_zeros()) as usize;
-    let cols = id_bits + 1;
+    let cols = column_count(n);
 
     let mpc = MpcConfig::new(n + graph.num_edges(), params.delta);
     let mut tracker = MpcCostTracker::new();
@@ -590,21 +520,15 @@ fn derand_run(
     let mut phases = 0usize;
 
     // Per-phase buffers, allocated once per run and recycled across
-    // phases: U-membership, the relevant-edge query table (flattened
-    // word-packed GF(2) vectors with the seed's row stride plus per-edge
-    // targets), the seed search's buckets, tentative colors and conflict
-    // flags. Encoding scratch is leased from the primitives' scratch
-    // registry so concurrent layer invocations sharing one context
-    // recycle each other's buffers.
+    // phases: U-membership, the relevant-edge query table, the seed
+    // search's buckets, tentative colors and conflict flags.
     let mut in_u: Vec<bool> = Vec::new();
-    let mut edge_dirs: Vec<u64> = Vec::new();
-    let mut edge_targets: Vec<usize> = Vec::new();
+    let mut table: Vec<Query> = Vec::new();
     let mut search = BatchSearch::default();
     let mut tentative: Vec<(NodeId, usize)> = Vec::new();
     let mut tentative_colors: Vec<Option<usize>> = Vec::new();
     let mut conflicts: Vec<bool> = Vec::new();
     let mut still_uncolored: Vec<NodeId> = Vec::new();
-    let encodings = primitives.scratch_pool::<Vec<u64>>();
 
     while !uncolored.is_empty() && phases < params.max_phases {
         phases += 1;
@@ -621,41 +545,25 @@ fn derand_run(
         let mut seed = Seed::new(color_bits, cols);
 
         // Edges whose monochromatic status depends on the seed: both
-        // endpoints in U (difference vector against target 0), or one
-        // endpoint in U against the neighbor's fixed color. The queries
-        // are seed-independent, so they are precomputed once per phase
-        // into a flat table that the seed search then only reads and
-        // shrinks.
-        edge_dirs.clear();
-        edge_targets.clear();
-        {
-            let mut encode_a = encodings.lease();
-            let mut encode_b = encodings.lease();
-            let mut xor_buf = encodings.lease();
-            for (u, v) in graph.edges() {
-                match (in_u[u], in_u[v]) {
-                    (false, false) => continue,
-                    (true, true) => {
-                        encode_into(enc_id(u), cols, &mut encode_a);
-                        encode_into(enc_id(v), cols, &mut encode_b);
-                        simd::xor_words(&encode_a, &encode_b, &mut xor_buf);
-                        edge_dirs.extend_from_slice(&xor_buf);
-                        edge_targets.push(0);
-                    }
-                    (true, false) => {
-                        encode_into(enc_id(u), cols, &mut encode_a);
-                        edge_dirs.extend_from_slice(&encode_a);
-                        edge_targets.push(partial.color(v).expect("colored node has a color"));
-                    }
-                    (false, true) => {
-                        encode_into(enc_id(v), cols, &mut encode_a);
-                        edge_dirs.extend_from_slice(&encode_a);
-                        edge_targets.push(partial.color(u).expect("colored node has a color"));
-                    }
+        // endpoints in U (difference vector against target 0, taken once,
+        // from the smaller endpoint), or one endpoint in U against the
+        // neighbor's fixed color. The queries are seed-independent, so
+        // they are built once per phase from U's adjacency into a table
+        // that the seed search then only reads and shrinks.
+        table.clear();
+        for &u in &uncolored {
+            let d = encode(enc_id(u), cols);
+            for &w in graph.neighbors(u) {
+                if !in_u[w] {
+                    let target = partial.color(w).expect("colored node has a color");
+                    table.push(Query { d, target });
+                } else if u < w {
+                    let d = d ^ encode(enc_id(w), cols);
+                    table.push(Query { d, target: 0 });
                 }
             }
         }
-        let num_edges = edge_targets.len();
+        let num_edges = table.len();
 
         // Method of conditional expectations, one batch of seed bits at a
         // time, each candidate scored by the counting pass of the module
@@ -668,14 +576,13 @@ fn derand_run(
         let mut next_bit = 0usize;
         while next_bit < total_bits {
             let upper = (next_bit + batch).min(total_bits);
-            let best_assignment =
-                search.best_assignment(&seed, next_bit, upper, &edge_dirs, &edge_targets);
+            let best_assignment = search.best_assignment(&seed, next_bit, upper, &table);
             for (offset, bit_index) in (next_bit..upper).enumerate() {
                 seed.set_bit(bit_index, (best_assignment >> offset) & 1 == 1);
             }
             // The rows this batch finished.
             for row in next_bit / cols..upper / cols {
-                drop_missed_edges(&seed, row, &mut edge_dirs, &mut edge_targets);
+                drop_missed_edges(&seed, row, &mut table);
             }
             tracker.charge_aggregation(&mpc, num_edges.max(1));
             next_bit = upper;
@@ -890,16 +797,11 @@ mod tests {
         assert_eq!(result.phases, 1);
     }
 
-    /// Reads coordinate `i` of a packed encoding.
-    fn packed_bit(words: &[u64], i: usize) -> bool {
-        words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1
-    }
-
     #[test]
-    fn packed_encode_and_xor_match_the_bool_reference() {
+    fn one_word_encode_and_xor_match_the_bool_reference() {
         // The pre-bitset reference implementations: one `bool` per
-        // coordinate. The packed forms must produce the same coordinates
-        // no matter what stale contents the reused buffers hold.
+        // coordinate, the id's bits clipped to the `cols - 1` id
+        // coordinates and the constant 1 last.
         let encode_reference = |v: NodeId, cols: usize| -> Vec<bool> {
             let mut bits = Vec::with_capacity(cols);
             for i in 0..cols - 1 {
@@ -908,38 +810,23 @@ mod tests {
             bits.push(true);
             bits
         };
-        let xor_reference = |a: &[bool], b: &[bool]| -> Vec<bool> {
-            a.iter().zip(b).map(|(&x, &y)| x ^ y).collect()
-        };
-
-        let mut encode_a = vec![u64::MAX; 3]; // stale garbage to discard
-        let mut encode_b = Vec::new();
-        let mut xor_buf = vec![0u64; 7];
-        for cols in [2usize, 5, 11, 40, 64, 65, 130] {
+        for cols in [2usize, 5, 11, 40, 64] {
             for (u, v) in [(0usize, 1usize), (3, 3), (12_345, 678), (65_535, 2)] {
-                encode_into(u, cols, &mut encode_a);
-                encode_into(v, cols, &mut encode_b);
+                let (encoded_u, encoded_v) = (encode(u, cols), encode(v, cols));
                 let reference_u = encode_reference(u, cols);
                 let reference_v = encode_reference(v, cols);
-                assert_eq!(encode_a.len(), cols.div_ceil(WORD_BITS));
-                for i in 0..cols {
+                for i in 0..64 {
+                    let bit = |word: u64| word >> i & 1 == 1;
+                    let (expected_u, expected_v) = if i < cols {
+                        (reference_u[i], reference_v[i])
+                    } else {
+                        (false, false)
+                    };
+                    assert_eq!(bit(encoded_u), expected_u, "encode({u}, {cols}) bit {i}");
+                    assert_eq!(bit(encoded_v), expected_v, "encode({v}, {cols}) bit {i}");
                     assert_eq!(
-                        packed_bit(&encode_a, i),
-                        reference_u[i],
-                        "encode({u}, {cols}) bit {i}"
-                    );
-                    assert_eq!(
-                        packed_bit(&encode_b, i),
-                        reference_v[i],
-                        "encode({v}, {cols}) bit {i}"
-                    );
-                }
-                simd::xor_words(&encode_a, &encode_b, &mut xor_buf);
-                let reference_xor = xor_reference(&reference_u, &reference_v);
-                for (i, &expected) in reference_xor.iter().enumerate() {
-                    assert_eq!(
-                        packed_bit(&xor_buf, i),
-                        expected,
+                        bit(encoded_u ^ encoded_v),
+                        expected_u ^ expected_v,
                         "xor of {u} and {v} at {cols} cols, bit {i}"
                     );
                 }
@@ -948,20 +835,36 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")] // the n = 2^32 and 2^63 − 1 cases
+    fn column_count_fits_one_word_for_every_indexable_graph() {
+        for (n, cols) in [
+            (0usize, 3usize),
+            (1, 3),
+            (2, 3),
+            (25_000, 16),
+            (1 << 32, 34),
+            ((1 << 63) - 1, 64),
+        ] {
+            assert_eq!(column_count(n), cols, "n = {n}");
+            assert!(column_count(n) <= 64);
+        }
+    }
+
+    #[test]
     fn seed_collision_probabilities_are_consistent() {
         let mut seed = Seed::new(3, 5);
         // Query over coordinates 0, 2, 4; fully random seed gives
         // probability 1/8 for any target.
-        let d = vec![0b10101u64];
-        assert!((seed.collision_probability(&d, 0) - 0.125).abs() < 1e-12);
-        assert!((seed.collision_probability(&d, 5) - 0.125).abs() < 1e-12);
+        let d = 0b10101u64;
+        assert!((seed.collision_probability(d, 0) - 0.125).abs() < 1e-12);
+        assert!((seed.collision_probability(d, 5) - 0.125).abs() < 1e-12);
         // Fix row 0 so that its parity over d is 1: targets with bit0 = 0
         // become impossible at row 0.
         seed.set_bit(0, true); // (row 0, col 0)
         seed.set_bit(2, false); // (row 0, col 2)
         seed.set_bit(4, false); // (row 0, col 4)
-        assert_eq!(seed.collision_probability(&d, 0), 0.0);
-        assert!((seed.collision_probability(&d, 1) - 0.25).abs() < 1e-12);
+        assert_eq!(seed.collision_probability(d, 0), 0.0);
+        assert!((seed.collision_probability(d, 1) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -969,7 +872,8 @@ mod tests {
         // The pre-bitset seed: one Option<bool> per entry, row-by-row
         // probability product with an early break at zero. The packed seed
         // must reproduce its f64s exactly (they are all dyadic), for every
-        // mix of free/fixed bits — including seeds wider than one word.
+        // mix of free/fixed bits — including 64-column seeds, whose
+        // constant coordinate is bit 63.
         struct Reference {
             rows: usize,
             cols: usize,
@@ -1014,7 +918,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for (rows, cols) in [(1usize, 2usize), (3, 5), (6, 19), (4, 70), (2, 130)] {
+        for (rows, cols) in [(1usize, 2usize), (3, 5), (6, 19), (4, 64), (2, 64)] {
             let mut seed = Seed::new(rows, cols);
             let mut reference = Reference {
                 rows,
@@ -1033,15 +937,15 @@ mod tests {
                 }
                 for query in 0..8 {
                     let d_bool: Vec<bool> = (0..cols).map(|_| next() % 4 != 0).collect();
-                    let mut d_packed = vec![0u64; cols.div_ceil(WORD_BITS)];
+                    let mut d_packed = 0u64;
                     for (i, &set) in d_bool.iter().enumerate() {
                         if set {
-                            d_packed[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+                            d_packed |= 1 << i;
                         }
                     }
                     for target in [0usize, 1, 5, (1 << rows) - 1] {
                         let expected = reference.collision_probability(&d_bool, target);
-                        let actual = seed.collision_probability(&d_packed, target);
+                        let actual = seed.collision_probability(d_packed, target);
                         assert_eq!(
                             expected.to_bits(),
                             actual.to_bits(),
@@ -1106,35 +1010,31 @@ mod tests {
                 }
             }
         }
-        // Queries spanning two words, and keys too wide for the dense
-        // table (a 12-bit batch touching five 3-column rows).
-        shapes.extend([(2, 70, 7), (3, 130, 5), (6, 3, 12)]);
+        // Queries with a bit on coordinate 63 (64 columns: the constant
+        // coordinate), and keys too wide for the dense table (a 12-bit
+        // batch touching five 3-column rows).
+        shapes.extend([(2, 64, 7), (3, 64, 5), (6, 3, 12)]);
         let mut search = BatchSearch::default();
         for (rows, cols, batch_bits) in shapes {
-            let words = cols.div_ceil(WORD_BITS);
-            let mut all_dirs = Vec::new();
-            let mut all_targets = Vec::new();
+            let mut all_queries = Vec::new();
             for _ in 0..16 {
-                let mut d = vec![0u64; words];
-                while d.iter().all(|&word| word == 0) {
-                    for (word, slot) in d.iter_mut().enumerate() {
-                        *slot = next() & low_mask((cols - word * WORD_BITS).min(WORD_BITS));
-                    }
+                let mut d = 0;
+                while d == 0 {
+                    d = next() & low_mask(cols);
                 }
-                all_dirs.extend_from_slice(&d);
-                all_targets.push(next() as usize & ((1 << rows) - 1));
+                let target = next() as usize & ((1 << rows) - 1);
+                all_queries.push(Query { d, target });
             }
             let mut seed = Seed::new(rows, cols);
             let total_bits = rows * cols;
             let mut start = 0;
             while start < total_bits {
                 let end = (start + batch_bits).min(total_bits);
-                let mut dirs = all_dirs.clone();
-                let mut targets = all_targets.clone();
+                let mut table = all_queries.clone();
                 for row in 0..start / cols {
-                    drop_missed_edges(&seed, row, &mut dirs, &mut targets);
+                    drop_missed_edges(&seed, row, &mut table);
                 }
-                search.score_candidates(&seed, start, end, &dirs, &targets);
+                search.score_candidates(&seed, start, end, &table);
                 let width = end - start;
                 assert_eq!(search.scores.len(), 1 << width);
                 // F + T = every row from the batch's first one on.
@@ -1144,13 +1044,9 @@ mod tests {
                     for (offset, bit_index) in (start..end).enumerate() {
                         candidate.set_bit(bit_index, (assignment >> offset) & 1 == 1);
                     }
-                    let expected: f64 = all_targets
+                    let expected: f64 = all_queries
                         .iter()
-                        .enumerate()
-                        .map(|(edge, &target)| {
-                            let d = &all_dirs[edge * words..(edge + 1) * words];
-                            candidate.collision_probability(d, target)
-                        })
+                        .map(|query| candidate.collision_probability(query.d, query.target))
                         .sum();
                     assert_eq!(
                         score as f64,
@@ -1165,17 +1061,6 @@ mod tests {
                 start = end;
             }
         }
-    }
-
-    #[test]
-    fn column_bits_cross_word_boundaries() {
-        let d = [0xF000_0000_0000_0001u64, 0b1011];
-        assert_eq!(column_bits(&d, 0, 1), 1);
-        assert_eq!(column_bits(&d, 60, 8), 0b1011_1111);
-        assert_eq!(column_bits(&d, 64, 3), 0b011);
-        assert_eq!(column_bits(&d, 0, 64), d[0]);
-        assert_eq!(low_mask(0), 0);
-        assert_eq!(low_mask(64), u64::MAX);
     }
 
     #[test]

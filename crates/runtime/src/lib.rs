@@ -97,7 +97,7 @@
 // `deny` rather than `forbid`: the worker pool's scoped-batch execution
 // needs one audited lifetime erasure (see `pool.rs`), the hardware
 // counter sampler needs a small FFI shim over `perf_event_open(2)` (see
-// `perf.rs`), and the SIMD kernels need `core::arch` intrinsics (see
+// `perf.rs`), and the prefetch hint needs a `core::arch` intrinsic (see
 // `simd.rs`); each opts in with a module-level `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

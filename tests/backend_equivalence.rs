@@ -373,11 +373,7 @@ fn recolor_and_derand_sweeps_are_bit_identical_across_thread_counts() {
 /// the *original* graph and pushed through the permutation; initial
 /// colorings are permuted alongside the graph; the derandomized coloring —
 /// whose GF(2) queries read node ids — encodes *original* ids via
-/// [`derandomized_coloring_relabeled`]. This same matrix doubles as the
-/// forced-scalar equivalence gate: CI runs the suite once with
-/// `AMPC_SIMD=0`, so any divergence between the SIMD and portable-scalar
-/// kernels breaks the identity asserted here in exactly one of the two
-/// jobs.
+/// [`derandomized_coloring_relabeled`].
 #[test]
 fn relabeled_runs_unpermute_to_the_unrelabeled_reference() {
     for workload in ALL_WORKLOADS {

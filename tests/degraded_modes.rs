@@ -1,28 +1,22 @@
-//! All degradation switches at once: SIMD kernels forced scalar
-//! (`AMPC_SIMD=0`), hardware perf sampling forced off (`AMPC_PERF=0`),
-//! AND a deterministic fault plan injecting panics/stalls/merge failures
-//! with bounded retry — simultaneously. Each mechanism is proven
-//! output-invisible on its own elsewhere (the SIMD CI leg, the
+//! Both degradation switches at once: hardware perf sampling forced off
+//! (`AMPC_PERF=0`) AND a deterministic fault plan injecting
+//! panics/stalls/merge failures with bounded retry — simultaneously. Each
+//! mechanism is proven output-invisible on its own elsewhere (the
 //! `perf_disabled` binary, the `chaos_equivalence` matrix); this binary
 //! pins that they *compose*: a degraded, faulted run is still
 //! byte-identical to the pristine reference.
 //!
-//! Its own test binary on purpose, twice over: the SIMD/perf probes are
-//! cached in per-process `OnceLock`s (the env vars must be set before
-//! anything touches the runtime), and the fault plan is process-global.
+//! Its own test binary on purpose, twice over: the perf probe is cached
+//! in a per-process `OnceLock` (the env var must be set before anything
+//! touches the runtime), and the fault plan is process-global.
 
 use ampc_coloring_repro::{Algorithm, RuntimeConfig, SparseColoring, Workload};
 use ampc_runtime::faults::{self, FaultPlan};
 
 #[test]
-fn scalar_kernels_no_perf_and_faults_compose_bit_identically() {
-    // Must precede every runtime touch: both probes are once-per-process.
-    std::env::set_var("AMPC_SIMD", "0");
+fn no_perf_and_faults_compose_bit_identically() {
+    // Must precede every runtime touch: the probe is once-per-process.
     std::env::set_var("AMPC_PERF", "0");
-    assert!(
-        !ampc_runtime::simd::available(),
-        "AMPC_SIMD=0 must pin the scalar kernels"
-    );
     assert!(
         !ampc_runtime::perf::available(),
         "AMPC_PERF=0 must disable sampling"
@@ -37,7 +31,7 @@ fn scalar_kernels_no_perf_and_faults_compose_bit_identically() {
         Workload::PlanarGrid { side: 12 },
     ];
 
-    // Pristine references first: scalar + no perf, but not yet faulted.
+    // Pristine references first: no perf, but not yet faulted.
     let references: Vec<_> = workloads
         .iter()
         .map(|workload| {
@@ -52,7 +46,7 @@ fn scalar_kernels_no_perf_and_faults_compose_bit_identically() {
         })
         .collect();
 
-    // Now light the third switch. Same seed rationale as the chaos
+    // Now light the second switch. Same seed rationale as the chaos
     // matrix: merge cells are per-round, so the rate must fire within the
     // few rounds each engine instance actually runs.
     let counters_before = faults::counters();
