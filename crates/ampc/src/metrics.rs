@@ -104,9 +104,9 @@ pub struct RoundRuntimeStats {
     /// injector while this round ran (0 for the sequential executor).
     pub pool_overflows: u64,
     /// Data-parallel tasks executed by the intra-layer round primitives
-    /// (`par_node_map` / `par_color_classes` / `par_reduce`) while this
-    /// logical round ran. Like the pool counters these are measurements of
-    /// the simulation host, not model-level quantities.
+    /// (the `RoundPrimitives` map, color-class sweep, reduce and index
+    /// collect) while this logical round ran. Like the pool counters these
+    /// are measurements of the simulation host, not model-level quantities.
     pub intra_tasks: u64,
     /// Nanoseconds spent inside intra-layer round primitives, summed over
     /// every primitive call. Calls made from concurrently running layer

@@ -99,72 +99,9 @@ fn bench_intra_layer_simulators(c: &mut Criterion) {
     group.finish();
 }
 
-/// The skewed-scheduler A/B: Arb-Linial on graphs oriented by node id, so
-/// hubs keep their full degree as out-degree and dominate the per-node
-/// cost. `contiguous` is the PR 3 equal-width chunk grid; `weighted` is the
-/// cost-weighted grid + work-stealing deques the skew-aware scheduler
-/// ships. Outputs are bit-identical (pinned in
-/// `tests/backend_equivalence.rs`); only the wall clock differs.
-fn bench_skewed_scheduler(c: &mut Criterion) {
-    let mut group = c.benchmark_group("skewed_intra_scheduler");
-    group.sample_size(10);
-    for (label, workload) in [
-        (
-            "hub_and_spoke_100k",
-            Workload::HubAndSpoke {
-                n: 100_000,
-                communities: 200,
-            },
-        ),
-        (
-            "power_law_100k",
-            Workload::PowerLaw {
-                n: 100_000,
-                edges_per_node: 3,
-            },
-        ),
-    ] {
-        let graph = workload.build(54);
-        let orientation = Orientation::from_total_order(&graph, |v| v);
-        for threads in [1usize, 4, 8] {
-            let schedulers: &[&str] = if threads == 1 {
-                &["weighted"] // inline: the scheduler never engages
-            } else {
-                &["contiguous", "weighted"]
-            };
-            for &scheduler in schedulers {
-                group.bench_with_input(
-                    BenchmarkId::new(label, format!("{scheduler}_t{threads}")),
-                    &graph,
-                    |b, graph| {
-                        b.iter(|| {
-                            let primitives = if scheduler == "contiguous" {
-                                RoundPrimitives::new(threads).contiguous()
-                            } else {
-                                RoundPrimitives::new(threads)
-                            };
-                            black_box(
-                                arb_linial_coloring_with_runtime(
-                                    graph,
-                                    &orientation,
-                                    None,
-                                    &primitives,
-                                )
-                                .expect("Arb-Linial succeeds"),
-                            )
-                        });
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_partition_backends,
-    bench_intra_layer_simulators,
-    bench_skewed_scheduler
+    bench_intra_layer_simulators
 );
 criterion_main!(benches);

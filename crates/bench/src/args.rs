@@ -30,6 +30,31 @@ pub fn unknown_argument<'a>(args: &'a [String], bare: &[&str], valued: &[&str]) 
     })
 }
 
+/// The first `--{name}=value` argument whose value is malformed, if any:
+/// for `name` in `counts` the value must be a positive integer, for `name`
+/// in `lists` a comma-separated list of positive integers. Every occurrence
+/// is checked, not just the last one [`parse_flag`] reads, so a binary that
+/// rejects the result never falls back to a default on a typo.
+pub fn malformed_argument<'a>(
+    args: &'a [String],
+    counts: &[&str],
+    lists: &[&str],
+) -> Option<&'a str> {
+    let positive = |raw: &str| raw.parse::<usize>().is_ok_and(|value| value > 0);
+    args.iter().map(String::as_str).find(|arg| {
+        let Some((name, raw)) = arg.strip_prefix("--").and_then(|flag| flag.split_once('=')) else {
+            return false;
+        };
+        if counts.contains(&name) {
+            !positive(raw)
+        } else if lists.contains(&name) {
+            !raw.split(',').all(positive)
+        } else {
+            false
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +93,41 @@ mod tests {
             assert_eq!(
                 unknown_argument(&args(list), bare, valued),
                 Some(unknown),
+                "{list:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_argument_rejects_values_the_parser_would_drop() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        let (counts, lists) = (&["n", "reps"][..], &["threads"][..]);
+        let valid = args(&[
+            "--smoke",
+            "--n=5000",
+            "--reps=1",
+            "--threads=1,2,4",
+            "--threads=8",
+            "--json=out.json",
+            "--alloc-budget=x",
+        ]);
+        assert_eq!(malformed_argument(&valid, counts, lists), None);
+        assert_eq!(malformed_argument(&[], counts, lists), None);
+        for (list, malformed) in [
+            (&["--n=1e5"][..], "--n=1e5"),
+            (&["--reps=x"][..], "--reps=x"),
+            (&["--reps=0"][..], "--reps=0"),
+            (&["--n="][..], "--n="),
+            (&["--n=-3"][..], "--n=-3"),
+            (&["--threads=2,x"][..], "--threads=2,x"),
+            (&["--threads=0"][..], "--threads=0"),
+            (&["--threads=1,,2"][..], "--threads=1,,2"),
+            (&["--threads="][..], "--threads="),
+            (&["--threads=1,2", "--n=7", "--n=big"][..], "--n=big"),
+        ] {
+            assert_eq!(
+                malformed_argument(&args(list), counts, lists),
+                Some(malformed),
                 "{list:?}"
             );
         }

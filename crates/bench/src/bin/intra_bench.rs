@@ -8,23 +8,11 @@
 //! cannot help. Every parallel run is checked bit-identical to the
 //! sequential reference before its timing is reported.
 //!
-//! Four sections:
+//! Two sections:
 //!
-//! * **balanced** — degeneracy-oriented forest-union / power-law graphs
-//!   (near-uniform per-node cost), the seq-vs-parallel matrix, plus the
-//!   derandomized coloring on the same graphs.
-//! * **skewed** — power-law and hub-and-spoke graphs oriented **by node
-//!   id**, which piles most of the Arb-Linial work onto a few hub nodes
-//!   clustered in index space. Here every thread count runs twice: once
-//!   with the PR 3 `contiguous` equal-width chunk grid and once with the
-//!   cost-`weighted` grid + work-stealing deques, so the scheduler A/B is
-//!   recorded directly in `BENCH_intra.json`.
-//! * **relabel** — the cache-aware CSR relabeling A/B at threads = 1:
-//!   each policy (`off` / `degree-sorted` / `rcm`) permutes the graph,
-//!   colors it on the permuted layout, and un-permutes the result, which
-//!   is verified byte-identical to the `off` reference before its timing
-//!   is reported. The speedup column of a relabeled row is therefore the
-//!   pure memory-layout win.
+//! * **simulators** — degeneracy-oriented forest-union / power-law graphs,
+//!   the seq-vs-parallel matrix of Arb-Linial, Kuhn–Wattenhofer (forest
+//!   union only) and the derandomized coloring.
 //! * **partition** — the AMPC β-partition (x = 4) on forest-union (β = 5)
 //!   and power-law m = 8 (β = 23) graphs on the round engine at threads 1
 //!   and 2, checked identical in partition and model metrics. Its
@@ -45,16 +33,16 @@
 //!
 //! Flags: `--n=NODES` (default 100000), `--reps=R` (default 3; best-of-R
 //! wall clock per cell), `--threads=a,b,c` (default `1,2,4,8`),
-//! `--relabel=a,b,c` (relabel policies for the A/B section, default
-//! `off,degree-sorted,rcm`; unknown labels are rejected),
 //! `--json=PATH`, `--smoke` (n=5000, reps=1), `--alloc-budget=N` (fail if
 //! any cell's steady-state `allocs_per_round` exceeds `N`; also read from
 //! the `AMPC_ALLOC_BUDGET` env var; requires the `alloc-count` feature),
 //! `--trace` (attach one pre-allocated `TraceContext` to every cell's
 //! primitives so each simulator round records a span — the buffers are
 //! created before any cell runs, so the alloc gate holds with tracing on).
-//! `--help` prints the usage and exits 0; any other argument prints it
-//! and exits 2 before anything runs.
+//! `--help` prints the usage and exits 0; any other argument, and an
+//! `--n`, `--reps` or `--threads` value that is not a positive integer
+//! (a comma-separated list of them for `--threads`), prints it and exits 2
+//! before anything runs.
 //!
 //! Built with `--features alloc-count`, the bin installs a counting global
 //! allocator and the `allocs_per_round` column carries real heap-allocation
@@ -90,18 +78,18 @@ fn allocations_now() -> u64 {
     }
 }
 
-use ampc_coloring_bench::args::{has_flag, parse_flag, unknown_argument};
+use ampc_coloring_bench::args::{has_flag, malformed_argument, parse_flag, unknown_argument};
 use ampc_coloring_bench::{Table, Workload};
 use ampc_runtime::trace::TraceContext;
 use ampc_runtime::RuntimeConfig;
 use ampc_runtime::{perf, PerfCounters, RoundPrimitives};
 use arbo_coloring::{
-    arb_linial_coloring_with_runtime, derandomized_coloring_relabeled,
-    derandomized_coloring_with_runtime, kw_color_reduction_with_runtime, ArbLinialResult,
-    DerandColoringResult, DerandParams, KwReductionResult,
+    arb_linial_coloring_with_runtime, derandomized_coloring_with_runtime,
+    kw_color_reduction_with_runtime, ArbLinialResult, DerandColoringResult, DerandParams,
+    KwReductionResult,
 };
 use beta_partition::{ampc_beta_partition, AmpcPartitionResult, PartitionParams};
-use sparse_graph::{relabel, Coloring, CsrGraph, Orientation, RelabelPolicy};
+use sparse_graph::{Coloring, CsrGraph, Orientation};
 
 /// Orients every edge along the degeneracy order — the low out-degree
 /// orientation a β-partition provides (out-degree ≈ degeneracy ≤ 2α − 1).
@@ -176,9 +164,6 @@ fn two_thread_calibration() -> f64 {
 struct Cell {
     workload: String,
     simulator: &'static str,
-    scheduler: &'static str,
-    /// Relabel policy label ("off" outside the relabel A/B section).
-    relabel: &'static str,
     threads: usize,
     wall: Duration,
     identical: bool,
@@ -192,30 +177,15 @@ struct Cell {
     perf: PerfCounters,
 }
 
-/// A primitives context for one cell: threads plus the scheduler under
-/// test (`weighted` cost-aware chunking vs the PR 3 `contiguous` grid),
-/// optionally recording spans into the shared trace context.
-fn primitives_for(
-    threads: usize,
-    scheduler: &str,
-    trace: &Option<Arc<TraceContext>>,
-) -> RoundPrimitives {
-    let primitives = RoundPrimitives::new(threads).with_trace(trace.clone());
-    if scheduler == "contiguous" {
-        primitives.contiguous()
-    } else {
-        primitives
-    }
-}
-
 /// The accepted flags, printed for `--help` and on an unknown argument.
 const USAGE: &str = "usage: intra_bench [--smoke] [--trace] [--n=NODES] [--reps=R] \
-                     [--threads=a,b,c] [--relabel=a,b,c] [--alloc-budget=N] [--json=PATH]";
+                     [--threads=a,b,c] [--alloc-budget=N] [--json=PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Checked before anything runs: a misspelt gate flag must not run the
-    // matrix ungated and exit 0.
+    // matrix ungated and exit 0, and a malformed size must not run the
+    // defaults (or a clamped thread count under the label it asked for).
     if has_flag(&args, "help") {
         println!("{USAGE}");
         return;
@@ -223,41 +193,29 @@ fn main() {
     if let Some(unknown) = unknown_argument(
         &args,
         &["smoke", "trace"],
-        &["n", "reps", "threads", "relabel", "alloc-budget", "json"],
+        &["n", "reps", "threads", "alloc-budget", "json"],
     ) {
         eprintln!("intra_bench: unknown argument `{unknown}`\n{USAGE}");
+        std::process::exit(2);
+    }
+    if let Some(malformed) = malformed_argument(&args, &["n", "reps"], &["threads"]) {
+        eprintln!("intra_bench: malformed argument `{malformed}`\n{USAGE}");
         std::process::exit(2);
     }
     let smoke = has_flag(&args, "smoke");
     let n: usize = parse_flag(&args, "n").unwrap_or(if smoke { 5_000 } else { 100_000 });
     let reps: usize = parse_flag(&args, "reps").unwrap_or(if smoke { 1 } else { 3 });
     let mut threads: Vec<usize> = parse_flag::<String>(&args, "threads")
-        .map(|raw| raw.split(',').filter_map(|t| t.parse().ok()).collect())
+        .map(|raw| {
+            raw.split(',')
+                .map(|t| t.parse().expect("checked above"))
+                .collect()
+        })
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
     // The sequential reference (threads = 1) anchors both the speedup
     // column and the bit-identity check, so it always runs first.
     threads.retain(|&t| t != 1);
     threads.insert(0, 1);
-
-    // Relabel policies for the A/B section. The first listed policy is the
-    // section's reference (with the default list that is `off`), so a
-    // filtered list still self-checks. Unknown labels fail loudly.
-    let relabel_policies: Vec<RelabelPolicy> = match parse_flag::<String>(&args, "relabel") {
-        None => RelabelPolicy::ALL.to_vec(),
-        Some(raw) => raw
-            .split(',')
-            .map(|text| match RelabelPolicy::parse(text) {
-                Some(policy) => policy,
-                None => {
-                    eprintln!(
-                        "intra_bench: FAILED — unknown relabel policy `{text}` \
-                         (expected off, degree-sorted or rcm)"
-                    );
-                    std::process::exit(1);
-                }
-            })
-            .collect(),
-    };
 
     // A malformed budget must fail loudly, not silently disable the gate
     // (the same fail-loudly contract as the missing-feature refusal below):
@@ -287,10 +245,7 @@ fn main() {
         "intra",
         "intra-layer seq vs parallel matrix",
         "wall clock of the LOCAL simulators (whole graph = one layer) on the round \
-         primitives, per thread count, scheduler and relabel policy; `weighted` = \
-         cost-weighted chunking + work-stealing deques, `contiguous` = the original \
-         equal-width grid; relabel != off rows run on a cache-aware permuted graph and \
-         are verified to un-permute to the relabel=off reference; parallel runs \
+         primitives and of the AMPC beta-partition, per thread count; parallel runs \
          verified bit-identical to threads=1; allocs_per_round = heap allocations per \
          simulated LOCAL round, or per AMPC round of n machines for the partition rows \
          (0 = built without the alloc-count feature); two_thread_calibration = two-thread \
@@ -302,8 +257,6 @@ fn main() {
         &[
             "workload",
             "simulator",
-            "scheduler",
-            "relabel",
             "threads",
             "wall_ms",
             "speedup",
@@ -328,9 +281,8 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut all_identical = true;
 
-    // Section 1 — balanced: degeneracy orientations, near-uniform per-node
-    // cost; the weighted scheduler's grid is near-uniform too, so a single
-    // scheduler column suffices (it is the simulators' default).
+    // Section 1 — simulators: degeneracy orientations, the low out-degree
+    // orientations a β-partition provides.
     for workload in [
         Workload::ForestUnion { n, k: 2 },
         Workload::PowerLaw {
@@ -350,8 +302,7 @@ fn main() {
         let run_kw = matches!(workload, Workload::ForestUnion { .. });
 
         // Derand's cost is dominated by the seed search's per-edge
-        // counting passes over one-word GF(2) queries, so it rides in the
-        // balanced section on the same graphs.
+        // counting passes over one-word GF(2) queries.
         let derand_params = DerandParams::with_x(2);
 
         let mut linial_reference: Option<ArbLinialResult> = None;
@@ -383,8 +334,6 @@ fn main() {
             cells.push(Cell {
                 workload: workload.label(),
                 simulator: "arb-linial",
-                scheduler: "weighted",
-                relabel: "off",
                 threads: t,
                 wall,
                 identical,
@@ -416,8 +365,6 @@ fn main() {
                 cells.push(Cell {
                     workload: workload.label(),
                     simulator: "kuhn-wattenhofer",
-                    scheduler: "weighted",
-                    relabel: "off",
                     threads: t,
                     wall,
                     identical,
@@ -449,8 +396,6 @@ fn main() {
             cells.push(Cell {
                 workload: workload.label(),
                 simulator: "derand",
-                scheduler: "weighted",
-                relabel: "off",
                 threads: t,
                 wall,
                 identical,
@@ -461,178 +406,7 @@ fn main() {
         }
     }
 
-    // Section 2 — skewed: the graphs oriented **by node id**, so hubs keep
-    // their full degree as out-degree. On the preferential-attachment graph
-    // the hubs are the low ids — clustered at the front of the index space,
-    // exactly the shape that starves contiguous equal-width chunks. Every
-    // parallel thread count runs under both schedulers.
-    for workload in [
-        Workload::PowerLaw {
-            n,
-            edges_per_node: 3,
-        },
-        Workload::HubAndSpoke {
-            n,
-            communities: (n / 500).max(2),
-        },
-    ] {
-        let graph = workload.build(11);
-        let orientation = Orientation::from_total_order(&graph, |v| v);
-        let label = format!("{}+by-id", workload.label());
-
-        let mut reference: Option<ArbLinialResult> = None;
-        for &t in &threads {
-            let schedulers: &[&'static str] = if t == 1 {
-                // Inline execution: the scheduler never engages.
-                &["weighted"]
-            } else {
-                &["contiguous", "weighted"]
-            };
-            for &scheduler in schedulers {
-                let (wall, allocs, perf_delta, (linial, tasks)) = best_of(reps, || {
-                    let primitives = primitives_for(t, scheduler, &trace);
-                    let result =
-                        arb_linial_coloring_with_runtime(&graph, &orientation, None, &primitives)
-                            .expect("Arb-Linial succeeds");
-                    (result, primitives.tasks_executed())
-                });
-                let rounds = linial.rounds;
-                let identical = match &reference {
-                    None => {
-                        reference = Some(linial);
-                        true
-                    }
-                    Some(reference) => {
-                        reference.coloring == linial.coloring
-                            && reference.palette_trajectory == linial.palette_trajectory
-                    }
-                };
-                all_identical &= identical;
-                cells.push(Cell {
-                    workload: label.clone(),
-                    simulator: "arb-linial",
-                    scheduler,
-                    relabel: "off",
-                    threads: t,
-                    wall,
-                    identical,
-                    intra_tasks: tasks,
-                    allocs_per_round: allocs / rounds.max(1) as u64,
-                    perf: perf_delta,
-                });
-            }
-        }
-    }
-
-    // Section 3 — relabel A/B at threads = 1: each policy permutes the
-    // graph, the simulator runs on the permuted layout, and the result is
-    // un-permuted and compared byte-for-byte against the section's
-    // reference (the first listed policy — `off` by default). Arb-Linial
-    // takes the ORIGINAL by-id orientation and initial coloring pushed
-    // through the permutation (recomputing either on the relabeled graph
-    // would change tie-breaks); derand's GF(2) queries encode node ids, so
-    // its relabeled entry point encodes the original ids back. Relabel
-    // time itself is excluded — the rows measure coloring on the layout.
-    for workload in [
-        Workload::PowerLaw {
-            n,
-            edges_per_node: 3,
-        },
-        Workload::HubAndSpoke {
-            n,
-            communities: (n / 500).max(2),
-        },
-    ] {
-        let graph = workload.build(11);
-        let orientation = Orientation::from_total_order(&graph, |v| v);
-        let initial = Coloring::new((0..graph.num_nodes()).collect());
-        let derand_params = DerandParams::with_x(2);
-        let label = format!("{}+relabel", workload.label());
-
-        let mut linial_reference: Option<(Coloring, Vec<usize>)> = None;
-        let mut derand_reference: Option<(Coloring, Vec<usize>, usize)> = None;
-        for &policy in &relabel_policies {
-            let (relabeled, permutation) = relabel(&graph, policy);
-            let pushed_orientation = permutation.permute_orientation(&orientation);
-            let pushed_initial = Coloring::new(permutation.permute_colors(initial.colors()));
-
-            let (wall, allocs, perf_delta, (linial, linial_tasks)) = best_of(reps, || {
-                let primitives = RoundPrimitives::new(1).with_trace(trace.clone());
-                let result = arb_linial_coloring_with_runtime(
-                    &relabeled,
-                    &pushed_orientation,
-                    Some(&pushed_initial),
-                    &primitives,
-                )
-                .expect("Arb-Linial succeeds");
-                (result, primitives.tasks_executed())
-            });
-            let rounds = linial.rounds;
-            let unpermuted = permutation.unpermute_coloring(&linial.coloring);
-            let identical = match &linial_reference {
-                None => {
-                    linial_reference = Some((unpermuted, linial.palette_trajectory));
-                    true
-                }
-                Some((coloring, trajectory)) => {
-                    *coloring == unpermuted && *trajectory == linial.palette_trajectory
-                }
-            };
-            all_identical &= identical;
-            cells.push(Cell {
-                workload: label.clone(),
-                simulator: "arb-linial",
-                scheduler: "weighted",
-                relabel: policy.label(),
-                threads: 1,
-                wall,
-                identical,
-                intra_tasks: linial_tasks,
-                allocs_per_round: allocs / rounds.max(1) as u64,
-                perf: perf_delta,
-            });
-
-            let (wall, allocs, perf_delta, (derand, derand_tasks)) = best_of(reps, || {
-                let primitives = RoundPrimitives::new(1).with_trace(trace.clone());
-                let result = derandomized_coloring_relabeled(
-                    &relabeled,
-                    &derand_params,
-                    &permutation,
-                    &primitives,
-                );
-                (result, primitives.tasks_executed())
-            });
-            let rounds = derand.mpc_rounds;
-            let unpermuted = permutation.unpermute_coloring(&derand.coloring);
-            let identical = match &derand_reference {
-                None => {
-                    derand_reference =
-                        Some((unpermuted, derand.uncolored_history, derand.mpc_rounds));
-                    true
-                }
-                Some((coloring, history, mpc_rounds)) => {
-                    *coloring == unpermuted
-                        && *history == derand.uncolored_history
-                        && *mpc_rounds == derand.mpc_rounds
-                }
-            };
-            all_identical &= identical;
-            cells.push(Cell {
-                workload: label.clone(),
-                simulator: "derand",
-                scheduler: "weighted",
-                relabel: policy.label(),
-                threads: 1,
-                wall,
-                identical,
-                intra_tasks: derand_tasks,
-                allocs_per_round: allocs / rounds.max(1) as u64,
-                perf: perf_delta,
-            });
-        }
-    }
-
-    // Section 4 — partition: the AMPC β-partition of Theorem 1.2 (x = 4),
+    // Section 2 — partition: the AMPC β-partition of Theorem 1.2 (x = 4),
     // the phase that dominates a coloring job. threads = 1 runs every
     // round of the round engine inline (the service's default sequential
     // runtime), threads = 2 splits each round over the worker pool; both
@@ -687,8 +461,6 @@ fn main() {
             cells.push(Cell {
                 workload: format!("{}+beta={beta}", workload.label()),
                 simulator: "partition",
-                scheduler: "-",
-                relabel: "off",
                 threads: t,
                 wall,
                 identical,
@@ -699,18 +471,13 @@ fn main() {
         }
     }
 
-    // Speedups are relative to the threads=1 relabel=off run of the same
-    // (workload, simulator) — the same baseline for both schedulers and
-    // every relabel policy, so each A/B is a straight wall_ms (or speedup)
-    // comparison between rows.
+    // Speedups are relative to the threads=1 run of the same
+    // (workload, simulator).
     let baseline = |workload: &str, simulator: &str| -> Duration {
         cells
             .iter()
             .find(|cell| {
-                cell.workload == workload
-                    && cell.simulator == simulator
-                    && cell.relabel == "off"
-                    && cell.threads == 1
+                cell.workload == workload && cell.simulator == simulator && cell.threads == 1
             })
             .map_or(Duration::ZERO, |cell| cell.wall)
     };
@@ -724,8 +491,6 @@ fn main() {
         table.push_row(vec![
             cell.workload.clone(),
             cell.simulator.to_string(),
-            cell.scheduler.to_string(),
-            cell.relabel.to_string(),
             cell.threads.to_string(),
             format!("{:.3}", cell.wall.as_secs_f64() * 1e3),
             format!("{speedup:.2}"),
@@ -753,7 +518,7 @@ fn main() {
         println!("wrote {path}");
     }
     if !all_identical {
-        eprintln!("intra_bench: FAILED — a parallel or relabeled run diverged from its reference");
+        eprintln!("intra_bench: FAILED — a parallel run diverged from its threads=1 reference");
         std::process::exit(1);
     }
     if alloc_budget > 0 {
@@ -772,13 +537,9 @@ fn main() {
             if cell.allocs_per_round > alloc_budget {
                 over_budget = true;
                 eprintln!(
-                    "intra_bench: allocation budget exceeded — {} / {} / {} threads={} \
+                    "intra_bench: allocation budget exceeded — {} / {} threads={} \
                      allocated {} per round (budget {alloc_budget})",
-                    cell.workload,
-                    cell.simulator,
-                    cell.scheduler,
-                    cell.threads,
-                    cell.allocs_per_round
+                    cell.workload, cell.simulator, cell.threads, cell.allocs_per_round
                 );
             }
         }
@@ -806,11 +567,10 @@ fn main() {
                 if cell.perf.instructions == 0 || cell.perf.cycles < cell.perf.instructions / 8 {
                     consistent = false;
                     eprintln!(
-                        "intra_bench: implausible perf counters — {} / {} / {} threads={} \
+                        "intra_bench: implausible perf counters — {} / {} threads={} \
                          cycles={} instructions={}",
                         cell.workload,
                         cell.simulator,
-                        cell.scheduler,
                         cell.threads,
                         cell.perf.cycles,
                         cell.perf.instructions
@@ -825,6 +585,6 @@ fn main() {
         } else {
             println!("smoke note: perf counters unavailable (perf_available=false), check skipped");
         }
-        println!("smoke ok: parallel runs bit-identical to sequential, relabeled runs to off");
+        println!("smoke ok: parallel runs bit-identical to sequential");
     }
 }

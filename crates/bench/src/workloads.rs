@@ -42,16 +42,6 @@ pub enum Workload {
         /// Average degree (so `m = n · avg / 2`).
         average_degree: usize,
     },
-    /// Hub-and-spoke communities: `communities` disjoint stars of
-    /// `n / communities` nodes whose hubs form a cycle — arboricity 2 with
-    /// maximum degree `n / communities + 1`, the extreme `∆ ≫ α` shape the
-    /// skew-aware scheduler targets.
-    HubAndSpoke {
-        /// Number of nodes (split evenly over the communities).
-        n: usize,
-        /// Number of communities (each a star around one hub).
-        communities: usize,
-    },
 }
 
 impl Workload {
@@ -68,10 +58,6 @@ impl Workload {
             Workload::Gnm { n, average_degree } => {
                 generators::gnm(n, n * average_degree / 2, &mut rng)
             }
-            Workload::HubAndSpoke { n, communities } => {
-                let communities = communities.clamp(1, n.max(1));
-                generators::hub_and_spoke(communities, (n / communities).max(1))
-            }
         }
     }
 
@@ -85,9 +71,6 @@ impl Workload {
             Workload::PlanarGrid { side } => format!("grid({side}x{side})"),
             Workload::DeepTree { arity, depth } => format!("tree(arity={arity},depth={depth})"),
             Workload::Gnm { n, average_degree } => format!("gnm(n={n},avg={average_degree})"),
-            Workload::HubAndSpoke { n, communities } => {
-                format!("hub-and-spoke(n={n},c={communities})")
-            }
         }
     }
 
@@ -99,7 +82,6 @@ impl Workload {
             Workload::PlanarGrid { .. } => 3,
             Workload::DeepTree { .. } => 1,
             Workload::Gnm { average_degree, .. } => average_degree.max(1),
-            Workload::HubAndSpoke { .. } => 2,
         }
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! Every node decides its new color from its own polynomial and its
 //! out-neighbors' — a pure per-node function — so each reduction round runs
-//! as one [`RoundPrimitives::par_node_map`] over the shared worker pool,
-//! bit-identical to the sequential loop for any thread count.
+//! as one [`RoundPrimitives::par_node_map_weighted_into`] over the shared
+//! worker pool, bit-identical to the sequential loop for any thread count.
 
 use std::fmt;
 
@@ -225,7 +225,7 @@ fn reduction_round_into(
     // out-neighbor), so the out-degree is the per-node weight. On skewed
     // orientations — power-law graphs oriented by node id put most edges on
     // a few hubs — this shatters the hub-heavy index ranges into many
-    // small, stealable tasks instead of one dominant contiguous chunk.
+    // small, stealable tasks instead of one dominant chunk.
     let scratch = primitives.scratch_pool::<PolyScratch>();
     primitives.par_node_map_weighted_into(
         graph.num_nodes(),

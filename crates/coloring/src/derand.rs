@@ -66,12 +66,12 @@
 //! `Σ_key count · Π_rows(…)`. Candidates are scanned in increasing order
 //! and the first minimum wins; since all candidates share the scale, that
 //! is the argmin of the real-valued expectation, and, because integer sums
-//! do not depend on summation order, the same for any edge order
-//! (relabeling) and any thread count.
+//! do not depend on summation order, the same for any edge order and any
+//! thread count.
 
 use ampc_model::mpc::{MpcConfig, MpcCostTracker};
 use ampc_runtime::{simd, RoundPrimitives};
-use sparse_graph::{Coloring, CsrGraph, NodeId, NodePermutation, PartialColoring};
+use sparse_graph::{Coloring, CsrGraph, NodeId, PartialColoring};
 
 /// Parameters of the derandomized coloring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -462,44 +462,7 @@ pub fn derandomized_coloring_with_runtime(
     params: &DerandParams,
     primitives: &RoundPrimitives,
 ) -> DerandColoringResult {
-    derand_run(graph, params, None, primitives)
-}
-
-/// [`derandomized_coloring_with_runtime`] on a cache-aware relabeled
-/// graph: node `v` is encoded by its *original* id
-/// (`permutation.to_old(v)`) instead of `v` itself.
-///
-/// The derandomized coloring is the one simulator whose decisions *read*
-/// node ids — the GF(2) seed queries encode them — so running it naively
-/// on a relabeled graph would change every query, every fixed seed, and
-/// every color. Encoding the original ids restores the exact original
-/// query multiset, and the seed search only counts queries per bucket, so
-/// its integer conditional expectations do not depend on the order in
-/// which relabeling lists the edges (see the relabel module docs): the
-/// returned coloring, un-permuted through the same permutation, is
-/// bit-identical to the unrelabeled run.
-pub fn derandomized_coloring_relabeled(
-    graph: &CsrGraph,
-    params: &DerandParams,
-    permutation: &NodePermutation,
-    primitives: &RoundPrimitives,
-) -> DerandColoringResult {
-    derand_run(graph, params, Some(permutation.old_ids()), primitives)
-}
-
-/// Shared body: `encode_ids`, when present, maps a node to the id its
-/// GF(2) encoding uses (`None` = encode the node's own id).
-fn derand_run(
-    graph: &CsrGraph,
-    params: &DerandParams,
-    encode_ids: Option<&[NodeId]>,
-    primitives: &RoundPrimitives,
-) -> DerandColoringResult {
     assert!(params.x >= 2, "x must be at least 2");
-    if let Some(ids) = encode_ids {
-        assert_eq!(ids.len(), graph.num_nodes(), "encoding-id table size");
-    }
-    let enc_id = |v: NodeId| encode_ids.map_or(v, |ids| ids[v]);
     let n = graph.num_nodes();
     let max_degree = graph.max_degree();
 
@@ -552,13 +515,13 @@ fn derand_run(
         // that the seed search then only reads and shrinks.
         table.clear();
         for &u in &uncolored {
-            let d = encode(enc_id(u), cols);
+            let d = encode(u, cols);
             for &w in graph.neighbors(u) {
                 if !in_u[w] {
                     let target = partial.color(w).expect("colored node has a color");
                     table.push(Query { d, target });
                 } else if u < w {
-                    let d = d ^ encode(enc_id(w), cols);
+                    let d = d ^ encode(w, cols);
                     table.push(Query { d, target: 0 });
                 }
             }
@@ -591,9 +554,15 @@ fn derand_run(
         // Apply the fully fixed seed to U and freeze conflict-free nodes.
         // Both sweeps are pure per-node functions of the fixed seed (and
         // the previous phases' colors), so they fan out over the pool.
-        primitives.par_map_into(
-            &uncolored,
-            |_, &v| (v, seed.color_of(enc_id(v))),
+        primitives.par_node_map_weighted_into(
+            uncolored.len(),
+            |_| 0,
+            || {
+                |i| {
+                    let v = uncolored[i];
+                    (v, seed.color_of(v))
+                }
+            },
             &mut tentative,
         );
         tentative_colors.clear();
@@ -607,11 +576,13 @@ fn derand_run(
             let tentative_colors = &tentative_colors;
             let partial = &partial;
             let in_u = &in_u;
-            primitives.par_map_weighted_into(
-                &tentative,
-                |_, &(v, _)| graph.degree(v),
+            let tentative = &tentative;
+            primitives.par_node_map_weighted_into(
+                tentative.len(),
+                |i| graph.degree(tentative[i].0),
                 || {
-                    |_, &(v, color)| {
+                    |i| {
+                        let (v, color) = tentative[i];
                         let neighbors = graph.neighbors(v);
                         neighbors.iter().enumerate().any(|(at, &w)| {
                             // The scan is a gather over node-indexed
@@ -679,31 +650,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sparse_graph::generators;
-
-    #[test]
-    fn relabeled_runs_unpermute_to_the_reference() {
-        use sparse_graph::{relabel, RelabelPolicy};
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let graph = generators::gnm(300, 700, &mut rng);
-        let params = DerandParams::with_x(2);
-        let reference = derandomized_coloring(&graph, &params);
-        for policy in [RelabelPolicy::DegreeSorted, RelabelPolicy::Rcm] {
-            let (relabeled, permutation) = relabel(&graph, policy);
-            let run = derandomized_coloring_relabeled(
-                &relabeled,
-                &params,
-                &permutation,
-                &RoundPrimitives::sequential(),
-            );
-            assert_eq!(
-                permutation.unpermute_coloring(&run.coloring),
-                reference.coloring,
-                "{policy:?}"
-            );
-            assert_eq!(run.uncolored_history, reference.uncolored_history);
-            assert_eq!(run.mpc_rounds, reference.mpc_rounds);
-        }
-    }
 
     #[test]
     fn produces_a_proper_coloring_within_the_palette() {

@@ -69,8 +69,8 @@ pub fn kw_color_reduction(
 /// inspects neighbor colors inside its *own* block window, which no
 /// co-member (whose old and new colors live in a different block) can
 /// touch. That is exactly the contract of
-/// [`RoundPrimitives::par_color_classes`], so the parallel sweep matches
-/// the sequential in-place loop bit for bit.
+/// [`RoundPrimitives::par_color_classes_weighted`], so the parallel sweep
+/// matches the sequential in-place loop bit for bit.
 ///
 /// # Errors
 ///
@@ -205,14 +205,17 @@ fn kw_sweeps<C: ColorWord>(
         let _compaction_span = primitives
             .span("kw.compaction", "simulator")
             .with_arg("blocks", num_blocks as u64);
-        primitives.par_node_map_into(
+        primitives.par_node_map_weighted_into(
             colors.len(),
-            |v| {
-                let c = colors[v].to_usize();
-                let b = c / block;
-                let within = c % block;
-                debug_assert!(within < target);
-                C::from_usize(b * target + within)
+            |_| 0,
+            || {
+                |v| {
+                    let c = colors[v].to_usize();
+                    let b = c / block;
+                    let within = c % block;
+                    debug_assert!(within < target);
+                    C::from_usize(b * target + within)
+                }
             },
             &mut compacted,
         );

@@ -55,8 +55,7 @@ pub use arb_linial::{
     arb_linial_coloring, arb_linial_coloring_with_runtime, ArbLinialError, ArbLinialResult,
 };
 pub use derand::{
-    derandomized_coloring, derandomized_coloring_relabeled, derandomized_coloring_with_runtime,
-    DerandColoringResult, DerandParams,
+    derandomized_coloring, derandomized_coloring_with_runtime, DerandColoringResult, DerandParams,
 };
 pub use kuhn_wattenhofer::{
     kw_color_reduction, kw_color_reduction_with_runtime, KwReductionResult,

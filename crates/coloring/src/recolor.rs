@@ -381,12 +381,13 @@ fn recolor_waves<C: ColorWord>(
             // Weighted by degree: a wave member's decision scans its whole
             // adjacency list, and waves of a skewed layer mix hubs with
             // leaves.
-            primitives.par_map_weighted_into(
-                wave,
-                |_, &v| graph.degree(v),
+            primitives.par_node_map_weighted_into(
+                wave.len(),
+                |i| graph.degree(wave[i]),
                 || {
                     let mut used = used_sets.lease();
-                    move |_, &v| {
+                    move |i| {
+                        let v = wave[i];
                         used.reset(palette);
                         let neighbors = graph.neighbors(v);
                         for (at, &w) in neighbors.iter().enumerate() {

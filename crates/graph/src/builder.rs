@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 
 use crate::csr::CsrGraph;
-use crate::relabel::{relabel, NodePermutation, RelabelPolicy};
 use crate::types::{canonical_edge, Edge, NodeId};
 
 /// Incrementally collects undirected edges and produces a [`CsrGraph`].
@@ -89,15 +88,6 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`CsrGraph`].
     pub fn build(self) -> CsrGraph {
         CsrGraph::from_edge_vec(self.num_nodes, self.edges.into_iter().collect())
-    }
-
-    /// Finalizes into a cache-aware relabeled [`CsrGraph`] plus the
-    /// [`NodePermutation`] mapping results back to the builder's ids.
-    /// Equivalent to [`GraphBuilder::build`] followed by
-    /// [`relabel`](crate::relabel::relabel); see the relabel module docs
-    /// for the permute → color → un-permute bit-identity story.
-    pub fn build_relabeled(self, policy: RelabelPolicy) -> (CsrGraph, NodePermutation) {
-        relabel(&self.build(), policy)
     }
 }
 

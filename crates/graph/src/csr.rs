@@ -120,8 +120,8 @@ impl CsrGraph {
         CsrGraph { offsets, targets }
     }
 
-    /// Internal constructor from prebuilt CSR arrays; used by the relabel
-    /// and induced-subgraph machinery, which emit already-sorted,
+    /// Internal constructor from prebuilt CSR arrays; used by the
+    /// induced-subgraph machinery, which emits already-sorted,
     /// already-deduplicated rows.
     pub(crate) fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
         debug_assert_eq!(offsets.first().copied(), Some(0));

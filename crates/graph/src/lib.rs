@@ -17,12 +17,7 @@
 //!   out-degree orientations,
 //! * edge [`Orientation`]s with acyclicity checks and out-degree statistics,
 //! * proper vertex [`Coloring`]s with validation helpers and greedy
-//!   reference algorithms,
-//! * cache-aware **node relabeling** ([`RelabelPolicy`] /
-//!   [`NodePermutation`]): deterministic degree-sorted and reverse
-//!   Cuthill–McKee permutations applied at build time, with
-//!   permute/un-permute helpers so relabeled runs stay bit-identical to
-//!   unrelabeled ones.
+//!   reference algorithms.
 //!
 //! # Quick example
 //!
@@ -50,7 +45,6 @@ mod degeneracy;
 mod forest;
 mod io;
 mod orientation;
-mod relabel;
 mod subgraph;
 mod types;
 
@@ -69,6 +63,5 @@ pub use io::{
     parse_edge_list, read_edge_list, read_edge_list_bounded, write_edge_list, ParseEdgeListError,
 };
 pub use orientation::Orientation;
-pub use relabel::{relabel, NodePermutation, RelabelPolicy};
 pub use subgraph::InducedSubgraph;
 pub use types::{canonical_edge, Edge, NodeId};

@@ -130,7 +130,7 @@ impl Chunk {
 /// node, the "global minimum function" of Remark 4.8 (Lemma 4.10).
 ///
 /// The store is a dense `u32` array indexed by node. Machines run in
-/// contiguous id ranges, one task per thread on a persistent
+/// consecutive id ranges, one task per thread on a persistent
 /// [`WorkerPool`] (a single range runs inline on the calling thread), each
 /// through a [`MachineContext`] with the model's read and write budgets.
 /// A range gets its machine body from a per-chunk factory, so the scratch
@@ -221,7 +221,7 @@ impl RoundEngine {
     /// with `node < machines`; the next store holds, per written node, the
     /// minimum layer written for it.
     ///
-    /// `chunk` is called once per contiguous range of machines in every
+    /// `chunk` is called once per consecutive range of machines in every
     /// attempt (once per attempt at one thread) and returns the body that
     /// runs each machine of that range in id order. It is where a round
     /// leases the scratch its machines reuse: the body must still compute

@@ -9,7 +9,7 @@
 //! the algorithms actually need on many threads:
 //!
 //! * [`RoundEngine`] — the round engine of the β-partition. Its store is a
-//!   dense `u32` layer array indexed by node; machines run in contiguous
+//!   dense `u32` layer array indexed by node; machines run in consecutive
 //!   id ranges across a thread pool, with the per-machine read/write
 //!   budgets of the sequential executor, and every buffered
 //!   `node → layer` write is min-merged into the next round's array with
@@ -25,25 +25,24 @@
 //!   pool across its job queue. Tasks run on per-worker **work-stealing
 //!   deques** (LIFO local pop, FIFO steal), so skewed batches — the
 //!   cost-weighted chunks of a hub-heavy graph — keep every worker busy.
-//! * [`RoundPrimitives`] — deterministic data-parallel **round primitives**
-//!   (`par_node_map`, `par_color_classes`, `par_reduce`) that the LOCAL/MPC
-//!   simulators' per-node loops run on: chunked maps with index-ordered
-//!   merge, independent-set recoloring sweeps with snapshot semantics, and
-//!   reductions over a thread-count-independent chunk grid — bit-identical
-//!   for any thread count. The `*_weighted` forms add **cost-weighted
-//!   chunking** (per-item cost = CSR degree) whose chunk boundaries derive
-//!   only from the prefix sum of the costs, splitting skewed index ranges
-//!   into many small stealable tasks without touching the bit-identity
-//!   contract.
+//! * [`RoundPrimitives`] — the four deterministic data-parallel **round
+//!   primitives** the LOCAL/MPC simulators' per-node loops run on: a map
+//!   with index-ordered output, an independent-set recoloring sweep with
+//!   snapshot semantics, a reduce whose result may not depend on where the
+//!   range is split, and an ascending index collect — bit-identical for
+//!   any thread count. The map, sweep and reduce take a per-item cost
+//!   (the CSR degree, or 0) and cut the index range into cost-balanced
+//!   chunks, so skewed ranges split into many small stealable tasks.
+//!   [`parallel_map_weighted`] is the same map over a slice of coarse
+//!   items (whole layers) whose function may fail.
 //! * [`BitSet`] / [`ScratchPool`] — the allocation-discipline vocabulary:
 //!   word-packed color sets with word-scan free-color queries and
-//!   thread-indexed, generation-checked reusable-buffer leasing
+//!   thread-indexed reusable-buffer leasing
 //!   ([`RoundPrimitives::scratch_pool`], leased once per chunk through the
 //!   per-chunk factories of [`RoundEngine::round`] and
-//!   [`RoundPrimitives::par_node_map_weighted_into`]), plus `*_into`
-//!   primitive variants writing into caller-owned reused buffers — the
-//!   simulators' hot loops allocate nothing in steady state, with reuse
-//!   counters surfaced as
+//!   [`RoundPrimitives::par_node_map_weighted_into`]), plus primitives
+//!   writing into caller-owned reused buffers — the simulators' hot loops
+//!   allocate nothing in steady state, with reuse counters surfaced as
 //!   [`ampc_model::RoundRuntimeStats::scratch_reuses`] /
 //!   [`ampc_model::RoundRuntimeStats::scratch_allocs`].
 //! * Extended metrics — wall-clock per round, conflict-merge counts and
@@ -118,7 +117,7 @@ pub use ampc_model::{ConflictPolicy, RoundRuntimeStats};
 pub use config::RuntimeConfig;
 pub use engine::RoundEngine;
 pub use perf::{PerfCounters, PerfSink};
-pub use pool::{parallel_map, parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
+pub use pool::{parallel_map_weighted, PoolStats, ScopedTask, WorkerPool};
 pub use rounds::RoundPrimitives;
 pub use scratch::{scratch_totals, BitSet, ScratchCounters, ScratchLease, ScratchPool};
 pub use trace::{

@@ -5,9 +5,9 @@
 //! every round, which dominates the wall clock of many-round algorithms
 //! (the β-partition runs hundreds of rounds on small remainders). The
 //! [`WorkerPool`] keeps its worker threads alive across rounds *and* across
-//! jobs: the round engine, [`parallel_map`] and the serving subsystem
-//! (`ampc-service`) all share the process-wide [`WorkerPool::global`] pool
-//! unless handed a dedicated one.
+//! jobs: the round engine, [`parallel_map_weighted`] and the serving
+//! subsystem (`ampc-service`) all share the process-wide
+//! [`WorkerPool::global`] pool unless handed a dedicated one.
 //!
 //! ## Scheduling: per-worker deques with stealing
 //!
@@ -374,7 +374,7 @@ impl WorkerPool {
     }
 
     /// The process-wide shared pool (sized to the host's available
-    /// parallelism, at least 2), used by [`parallel_map`] and every
+    /// parallelism, at least 2), used by [`parallel_map_weighted`] and every
     /// [`crate::RoundEngine`] not constructed with a dedicated pool.
     /// Spawned lazily on first use and never torn down.
     pub fn global() -> &'static Arc<WorkerPool> {
@@ -517,7 +517,7 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Splits `0..items` into at most `workers` contiguous, near-equal ranges
+/// Splits `0..items` into at most `workers` consecutive, near-equal ranges
 /// (ascending, non-empty).
 pub(crate) fn chunk_ranges(items: usize, workers: usize) -> Vec<Range<usize>> {
     let workers = workers.max(1).min(items.max(1));
@@ -539,18 +539,6 @@ pub(crate) fn chunk_ranges(items: usize, workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// The number of chunks cost-weighted grids aim for. A **constant** — never
-/// the thread count — so the grid (and therefore any order-sensitive
-/// combine over it) is identical no matter how many workers execute it;
-/// many-more-chunks-than-threads is also what makes the chunks stealable.
-pub(crate) const WEIGHTED_CHUNK_TARGET: usize = 64;
-
-/// Minimum total cost per weighted chunk (in `weight + 1` units, i.e.
-/// roughly items-plus-edges for degree weights): small inputs produce few
-/// chunks instead of 64 micro-tasks whose dispatch overhead would swamp
-/// the work. A constant for the same determinism reason as the target.
-pub(crate) const MIN_WEIGHTED_CHUNK_COST: u64 = 4096;
-
 /// How many stealable tasks a weighted dispatch creates per configured
 /// worker thread. More tasks than threads is what lets the deques
 /// rebalance a bad cost estimate or an oversized hub chunk; the factor
@@ -558,81 +546,19 @@ pub(crate) const MIN_WEIGHTED_CHUNK_COST: u64 = 4096;
 /// budget, so a `threads=2` request cannot saturate a 32-worker pool.
 pub(crate) const STEAL_GRANULARITY: usize = 4;
 
-/// Cuts `0..items` at the prefix-sum positions where the accumulated cost
-/// reaches `target` (item `i` costs `weight(i) + 1`; the `+ 1` floors
-/// zero-weight items so no range degenerates into an unbounded index run).
-/// Every produced range holds at least `target` cost except possibly the
-/// last, so at most `ceil(total / target)` ranges come back; a single
-/// oversized item (a hub) terminates its range immediately.
-fn cut_by_cost<W>(items: usize, weight: W, target: u64) -> (Vec<Range<usize>>, Vec<u64>)
-where
-    W: Fn(usize) -> usize,
-{
-    let mut ranges = Vec::new();
-    let mut costs = Vec::new();
-    if items == 0 {
-        ranges.push(0..0);
-        costs.push(0);
-        return (ranges, costs);
-    }
-    let mut start = 0usize;
-    let mut accumulated = 0u64;
-    for item in 0..items {
-        accumulated += weight(item) as u64 + 1;
-        if accumulated >= target {
-            ranges.push(start..item + 1);
-            costs.push(accumulated);
-            start = item + 1;
-            accumulated = 0;
-        }
-    }
-    if start < items {
-        ranges.push(start..items);
-        costs.push(accumulated);
-    }
-    (ranges, costs)
-}
-
-/// The **fixed** cost-weighted chunk grid for order-sensitive reductions:
-/// `0..items` split into up to [`WEIGHTED_CHUNK_TARGET`] contiguous ranges
-/// of roughly equal total cost, with a per-chunk cost floor
-/// ([`MIN_WEIGHTED_CHUNK_COST`]) so small inputs produce few chunks.
-///
-/// The boundaries are derived *only* from the prefix sum of the costs —
-/// never from the thread count — so a reduction's per-chunk partials (and
-/// therefore any non-associative combine over them) are bit-identical no
-/// matter how many workers execute the grid. Returns the ranges and their
-/// total costs (used to group chunks into dispatch tasks).
-pub(crate) fn weighted_chunk_grid<W>(items: usize, weight: W) -> (Vec<Range<usize>>, Vec<u64>)
-where
-    W: Fn(usize) -> usize,
-{
-    let total: u64 = (0..items).map(|i| weight(i) as u64 + 1).sum();
-    let target = total
-        .div_ceil(WEIGHTED_CHUNK_TARGET as u64)
-        .max(MIN_WEIGHTED_CHUNK_COST);
-    cut_by_cost(items, weight, target)
-}
-
-/// The ranges of [`weighted_chunk_grid`] without the costs.
-#[cfg(test)]
-pub(crate) fn weighted_chunk_ranges<W>(items: usize, weight: W) -> Vec<Range<usize>>
-where
-    W: Fn(usize) -> usize,
-{
-    weighted_chunk_grid(items, weight).0
-}
-
-/// Splits `0..items` into at most `max_groups` contiguous ranges of
-/// roughly equal total cost — the dispatch grid for cost-weighted **maps**,
-/// whose results merge in index order and therefore tolerate a
-/// thread-dependent grid (exactly like the unweighted [`chunk_ranges`]
-/// grid always has). Callers pass
+/// Splits `0..items` into at most `max_groups` consecutive ranges of
+/// roughly equal total cost — the dispatch grid of every cost-weighted
+/// primitive. Item `i` costs `weight(i) + 1` (the `+ 1` floors zero-weight
+/// items, so weight 0 everywhere gives equal-width ranges), and a range
+/// closes as soon as its cost reaches `total / max_groups`, so a single
+/// oversized item (a hub) terminates its range immediately. Callers pass
 /// `max_groups = STEAL_GRANULARITY × threads`: enough surplus tasks for
 /// the deques to steal, while pool occupancy stays proportional to the
 /// caller's thread budget. No cost floor is applied — for coarse items
 /// (whole layers) even a tiny total cost can hide hours of work, and the
-/// dispatch count is already bounded by `max_groups`.
+/// dispatch count is already bounded by `max_groups`. The grid depends on
+/// the thread count, so only consumers whose result is independent of
+/// where the range is split may use it (see [`crate::RoundPrimitives`]).
 pub(crate) fn cost_grouped_ranges<W>(
     items: usize,
     weight: W,
@@ -643,7 +569,21 @@ where
 {
     let total: u64 = (0..items).map(|i| weight(i) as u64 + 1).sum();
     let target = total.div_ceil(max_groups.max(1) as u64).max(1);
-    cut_by_cost(items, weight, target).0
+    let mut ranges = Vec::new();
+    let mut start = 0usize;
+    let mut accumulated = 0u64;
+    for item in 0..items {
+        accumulated += weight(item) as u64 + 1;
+        if accumulated >= target {
+            ranges.push(start..item + 1);
+            start = item + 1;
+            accumulated = 0;
+        }
+    }
+    if start < items {
+        ranges.push(start..items);
+    }
+    ranges
 }
 
 /// A chunk's indexed results, or its first failure as `(index, error)`.
@@ -654,42 +594,17 @@ type ChunkResult<U, E> = Result<Vec<(usize, U)>, (usize, E)>;
 ///
 /// Used by algorithm drivers for deterministic data-parallel phases outside
 /// the round protocol (e.g. coloring the layers of a β-partition
-/// independently). Determinism contract: `f` must be a pure function of
-/// `(index, item)`; when several items fail, the error of the lowest index
-/// is returned — the same error a sequential left-to-right loop would
-/// surface.
+/// independently). `weight(index, item)` estimates each item's cost (e.g. a
+/// layer's total degree) and the item space is split into up to
+/// `STEAL_GRANULARITY × threads` chunks of roughly equal total cost, so one
+/// huge item no longer pins a whole consecutive range to one worker — the
+/// surplus chunks are stealable and the work-stealing deques rebalance
+/// them, while pool occupancy stays proportional to the caller's thread
+/// budget.
 ///
-/// # Errors
-///
-/// The error of the lowest-indexed failing item.
-pub fn parallel_map<T, U, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(index, item)| f(index, item))
-            .collect();
-    }
-    chunked_map(items, chunk_ranges(items.len(), threads), f)
-}
-
-/// [`parallel_map`] with cost-weighted chunking: `weight(index, item)`
-/// estimates each item's cost (e.g. a layer's total degree) and the item
-/// space is split into up to `STEAL_GRANULARITY × threads` chunks of
-/// roughly equal total cost, so one huge item no longer pins a whole
-/// contiguous range to one worker — the surplus chunks are stealable and
-/// the work-stealing deques rebalance them, while pool occupancy stays
-/// proportional to the caller's thread budget.
-///
-/// Results (and the lowest-index error, see [`parallel_map`]) are
-/// bit-identical to the unweighted form for any thread count.
+/// Determinism contract: `f` must be a pure function of `(index, item)`;
+/// when several items fail, the error of the lowest index is returned —
+/// the same error a sequential left-to-right loop would surface.
 ///
 /// # Errors
 ///
@@ -720,18 +635,6 @@ where
         |index| weight(index, &items[index]),
         STEAL_GRANULARITY * threads,
     );
-    chunked_map(items, grid, f)
-}
-
-/// The shared fan-out behind [`parallel_map`] / [`parallel_map_weighted`]:
-/// runs every chunk of `grid` as one pool task and merges in index order.
-fn chunked_map<T, U, E, F>(items: &[T], grid: Vec<Range<usize>>, f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
     let mut outcomes: Vec<Option<ChunkResult<U, E>>> = (0..grid.len()).map(|_| None).collect();
     {
         let f = &f;
@@ -798,59 +701,13 @@ mod tests {
                 let mut covered = Vec::new();
                 let mut last_end = 0;
                 for range in &ranges {
-                    assert_eq!(range.start, last_end, "contiguous ascending");
+                    assert_eq!(range.start, last_end, "consecutive ascending");
                     last_end = range.end;
                     covered.extend(range.clone());
                 }
                 assert_eq!(covered, (0..items).collect::<Vec<_>>());
             }
         }
-    }
-
-    #[test]
-    fn weighted_chunks_cover_exactly_once_and_balance_cost() {
-        // A hub-heavy weight profile: item 0 carries half the total cost.
-        let weight = |i: usize| if i == 0 { 50_000 } else { 1 };
-        for items in [1usize, 2, 100, 5_000] {
-            let ranges = weighted_chunk_ranges(items, weight);
-            let mut covered = Vec::new();
-            let mut last_end = 0;
-            for range in &ranges {
-                assert_eq!(range.start, last_end, "contiguous ascending");
-                last_end = range.end;
-                covered.extend(range.clone());
-            }
-            assert_eq!(covered, (0..items).collect::<Vec<_>>());
-        }
-        // The hub terminates its chunk immediately: chunk 0 is exactly {0}.
-        let ranges = weighted_chunk_ranges(5_000, weight);
-        assert_eq!(ranges[0], 0..1, "the hub forms its own chunk");
-        assert!(ranges.len() > 2, "the light tail still splits");
-        assert!(ranges.len() <= WEIGHTED_CHUNK_TARGET + 1);
-    }
-
-    #[test]
-    fn weighted_chunk_grid_is_independent_of_thread_count() {
-        // The grid is a pure function of the weights — there is no thread
-        // parameter to vary, which is the whole determinism argument. Pin
-        // the boundary rule on a known profile so regressions are loud:
-        // 64 × 64 items of cost 64 split into exactly 64 uniform chunks.
-        let ranges = weighted_chunk_ranges(64 * 64, |_| 63);
-        assert_eq!(ranges.len(), WEIGHTED_CHUNK_TARGET);
-        for range in &ranges {
-            assert_eq!(range.len(), 64, "uniform weights give uniform chunks");
-        }
-        // Small totals collapse to few chunks (the per-chunk cost floor),
-        // instead of 64 micro-tasks.
-        let small = weighted_chunk_ranges(640, |_| 0);
-        assert_eq!(small.len(), 1);
-        let empty = weighted_chunk_ranges(0, |_| 7);
-        assert_eq!(empty.len(), 1);
-        assert_eq!(empty[0], 0..0);
-        // The grid also reports per-chunk costs (in weight + 1 units).
-        let (ranges, costs) = weighted_chunk_grid(64 * 64, |_| 63);
-        assert_eq!(ranges.len(), costs.len());
-        assert_eq!(costs.iter().sum::<u64>(), 64 * 64 * 64);
     }
 
     #[test]
@@ -886,33 +743,38 @@ mod tests {
     fn map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
         let doubled =
-            parallel_map(&items, 4, |i, &x| Ok::<_, ()>(2 * x + i - i)).expect("no errors");
+            parallel_map_weighted(&items, 4, |_, _| 0, |i, &x| Ok::<_, ()>(2 * x + i - i))
+                .expect("no errors");
         assert_eq!(doubled, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
-        let sequential = parallel_map(&items, 1, |_, &x| Ok::<_, ()>(2 * x)).expect("no errors");
+        let sequential = parallel_map_weighted(&items, 1, |_, _| 0, |_, &x| Ok::<_, ()>(2 * x))
+            .expect("no errors");
         assert_eq!(doubled, sequential);
     }
 
     #[test]
     fn weighted_map_matches_unweighted() {
         let items: Vec<usize> = (0..500).collect();
-        let expected = parallel_map(&items, 4, |i, &x| Ok::<_, ()>(x * 3 + i)).expect("no errors");
-        let weighted = parallel_map_weighted(&items, 4, |_, &x| x, |i, &x| Ok::<_, ()>(x * 3 + i))
-            .expect("no errors");
-        assert_eq!(expected, weighted);
+        let expected: Vec<usize> = items.iter().enumerate().map(|(i, &x)| x * 3 + i).collect();
+        for threads in [1usize, 2, 4, 7] {
+            let weighted =
+                parallel_map_weighted(&items, threads, |_, &x| x, |i, &x| Ok::<_, ()>(x * 3 + i))
+                    .expect("no errors");
+            assert_eq!(expected, weighted, "threads {threads}");
+        }
     }
 
     #[test]
     fn lowest_index_error_wins() {
         let items: Vec<usize> = (0..64).collect();
-        let result = parallel_map(&items, 4, |i, _| if i % 10 == 7 { Err(i) } else { Ok(i) });
-        assert_eq!(result, Err(7));
-        let weighted = parallel_map_weighted(
-            &items,
-            4,
-            |_, &x| x,
-            |i, _| if i % 10 == 7 { Err(i) } else { Ok(i) },
-        );
-        assert_eq!(weighted, Err(7));
+        for threads in [1usize, 4] {
+            let result = parallel_map_weighted(
+                &items,
+                threads,
+                |_, &x| x,
+                |i, _| if i % 10 == 7 { Err(i) } else { Ok(i) },
+            );
+            assert_eq!(result, Err(7), "threads {threads}");
+        }
     }
 
     #[test]

@@ -6,35 +6,31 @@
 //! (`arb_linial_coloring`, `kw_color_reduction`, the recoloring and
 //! derandomization sweeps) still ran sequentially, so one huge layer
 //! serialized the whole job. [`RoundPrimitives`] is the small vocabulary
-//! those per-node loops are written in:
+//! those per-node loops are written in, one form per primitive:
 //!
-//! * [`RoundPrimitives::par_node_map`] — a chunked per-node map over the
-//!   shared [`WorkerPool`] whose results are merged in index order.
-//! * [`RoundPrimitives::par_color_classes`] — a recoloring sweep over an
-//!   independent set (one color class / block of classes): every member's
-//!   new color is a pure function of the *pre-sweep* snapshot, written back
-//!   in member order.
-//! * [`RoundPrimitives::par_reduce`] / [`RoundPrimitives::par_reduce_range`]
-//!   — a chunked fold whose chunk boundaries depend only on the item count
-//!   (never on the thread count), combined left-to-right in chunk order.
-//! * the `*_weighted` forms ([`RoundPrimitives::par_node_map_weighted`],
-//!   [`RoundPrimitives::par_color_classes_weighted`],
-//!   [`RoundPrimitives::par_reduce_range_weighted`]) — the same primitives
-//!   with **cost-weighted chunking** for skewed inputs: a per-item cost
-//!   function (the CSR degree for edge-dominated loops) splits the index
-//!   space into many small chunks of roughly equal total cost, which the
-//!   pool's work-stealing deques rebalance. Chunk boundaries derive only
-//!   from the prefix sum of the costs, never from the thread count, so the
-//!   bit-identity contract is untouched.
-//! * per-chunk factories ([`RoundPrimitives::par_node_map_weighted_into`]
-//!   and the two forms built on it,
-//!   [`RoundPrimitives::par_map_weighted_into`] and
-//!   [`RoundPrimitives::par_color_classes_weighted`]) — instead of one
-//!   `Fn` per item, the caller passes a factory that is called once per
-//!   chunk (once per call when the map runs inline) and returns the
-//!   `FnMut` run for each item of the chunk. The factory is where a sweep
-//!   leases its scratch ([`RoundPrimitives::scratch_pool`]), so a sweep
-//!   pays one lease per chunk rather than one per node.
+//! * [`RoundPrimitives::par_node_map_weighted_into`] — a per-node map into
+//!   a caller-owned buffer, results in index order.
+//! * [`RoundPrimitives::par_color_classes_weighted`] — a recoloring sweep
+//!   over an independent set (one color class / block of classes): every
+//!   member's new color is a pure function of the *pre-sweep* snapshot,
+//!   written back in member order.
+//! * [`RoundPrimitives::par_reduce_range_weighted`] — a fold over the index
+//!   range, split into consecutive ranges whose partials are combined
+//!   left-to-right.
+//! * [`RoundPrimitives::par_collect_indices_into`] — the ascending indices
+//!   satisfying a predicate.
+//!
+//! The map, the sweep and the reduce take a per-item cost (the CSR degree
+//! for edge-dominated loops; 0 where every item costs the same) and split
+//! the index space into up to `STEAL_GRANULARITY × threads` consecutive
+//! chunks of roughly equal total cost, which the pool's work-stealing
+//! deques rebalance on skewed inputs. The map and the sweep take a
+//! per-chunk factory: instead of one `Fn` per item, the caller passes a
+//! factory that is called once per chunk (once per call when the map runs
+//! inline) and returns the `FnMut` run for each item of the chunk. The
+//! factory is where a sweep leases its scratch
+//! ([`RoundPrimitives::scratch_pool`]), so a sweep pays one lease per chunk
+//! rather than one per node.
 //!
 //! ## Determinism contract
 //!
@@ -49,9 +45,10 @@
 //!   because the members form an independent set, which is exactly the
 //!   invariant the LOCAL algorithms (Kuhn–Wattenhofer color classes,
 //!   recoloring waves of equal `(layer, color)`) provide;
-//! * reductions use a *fixed* chunk grid (`REDUCE_CHUNK` items per chunk)
-//!   so even non-associative accumulators (floating-point sums) come out
-//!   identical whether chunks run inline or on eight workers.
+//! * a reduction's grid depends on the thread count, so its result must
+//!   not depend on where the range is split: folding `a..b` then `b..c`
+//!   and combining must equal folding `a..c`. Integer sums and the first
+//!   match in index order meet this; floating-point sums do not.
 //!
 //! The primitives record how many tasks they dispatched and how long they
 //! ran; algorithm drivers fold those counters into
@@ -61,7 +58,6 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -70,10 +66,7 @@ use ampc_model::RoundRuntimeStats;
 
 use crate::config::RuntimeConfig;
 use crate::perf::{self, PerfCounters, PerfSink};
-use crate::pool::{
-    chunk_ranges, cost_grouped_ranges, weighted_chunk_grid, ScopedTask, WorkerPool,
-    STEAL_GRANULARITY,
-};
+use crate::pool::{chunk_ranges, cost_grouped_ranges, ScopedTask, WorkerPool, STEAL_GRANULARITY};
 use crate::scratch::{ScratchCounters, ScratchPool};
 use crate::trace::{span_on, SpanGuard, TraceContext};
 
@@ -81,16 +74,10 @@ use crate::trace::{span_on, SpanGuard, TraceContext};
 /// amortize a pool round-trip.
 const MIN_PAR_ITEMS: usize = 4096;
 
-/// Fixed reduction chunk width. Chunk boundaries must depend only on the
-/// item count so that non-associative accumulators (floating-point sums)
-/// are bit-identical across thread counts.
-const REDUCE_CHUNK: usize = 4096;
-
-/// Below this many items a reduction runs inline (over the same fixed
-/// chunk grid). Reductions are usually cheap per item — a filter predicate
-/// or one float multiply — so they need more items than a map to amortize
-/// a dispatch.
-const MIN_PAR_REDUCE_ITEMS: usize = 4 * REDUCE_CHUNK;
+/// Below this many items a reduction or an index collect runs inline.
+/// Both are usually cheap per item — a filter predicate or an adjacency
+/// scan — so they need more items than a map to amortize a dispatch.
+const MIN_PAR_REDUCE_ITEMS: usize = 4 * MIN_PAR_ITEMS;
 
 /// The intra-layer parallelism context threaded through the LOCAL/MPC
 /// simulators: a thread budget plus reuse counters.
@@ -110,11 +97,6 @@ const MIN_PAR_REDUCE_ITEMS: usize = 4 * REDUCE_CHUNK;
 /// `scratch_reuses` / `scratch_allocs`.
 pub struct RoundPrimitives {
     threads: usize,
-    /// Whether the `*_weighted` primitives honor their cost function. The
-    /// default; `false` (see [`RoundPrimitives::contiguous`]) falls back to
-    /// the PR-3-era contiguous equal-width grids, kept as the A/B baseline
-    /// for the scheduler benchmarks.
-    weighted: bool,
     tasks: AtomicU64,
     wall_nanos: AtomicU64,
     /// Reuse-vs-alloc accounting shared by every scratch pool of this
@@ -142,7 +124,6 @@ impl std::fmt::Debug for RoundPrimitives {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundPrimitives")
             .field("threads", &self.threads)
-            .field("weighted", &self.weighted)
             .field("tasks", &self.tasks_executed())
             .field("scratch_reuses", &self.scratch_counters.reuses())
             .field("scratch_allocs", &self.scratch_counters.allocs())
@@ -156,7 +137,6 @@ impl RoundPrimitives {
     pub fn new(threads: usize) -> Self {
         RoundPrimitives {
             threads: threads.max(1),
-            weighted: true,
             tasks: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
             scratch_counters: Arc::new(ScratchCounters::default()),
@@ -235,22 +215,6 @@ impl RoundPrimitives {
             .expect("registry entries are keyed by their exact type")
     }
 
-    /// Disables cost-weighted chunking: the `*_weighted` primitives ignore
-    /// their weight function and use the contiguous equal-width grids of
-    /// the unweighted forms. A benchmarking/testing knob for A/B-ing the
-    /// scheduler — colorings are identical either way (maps merge in index
-    /// order; the weighted reducers in this workspace use associative
-    /// accumulators), only the wall clock under skew differs.
-    pub fn contiguous(mut self) -> Self {
-        self.weighted = false;
-        self
-    }
-
-    /// Whether the `*_weighted` primitives honor their cost function.
-    pub fn is_weighted(&self) -> bool {
-        self.weighted
-    }
-
     /// The context a [`RuntimeConfig`] implies: inline for
     /// [`RuntimeConfig::Sequential`], the configured thread count otherwise.
     pub fn from_config(config: &RuntimeConfig) -> Self {
@@ -317,72 +281,36 @@ impl RoundPrimitives {
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Applies `f` to every index in `0..items`, returning the results in
-    /// index order. `f` must be a pure function of the index (and whatever
-    /// immutable state it captures); under that contract the result is
-    /// bit-identical for any thread count.
-    pub fn par_node_map<U, F>(&self, items: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        let started = Instant::now();
-        if self.threads == 1 || items < MIN_PAR_ITEMS {
-            let out: Vec<U> = (0..items).map(f).collect();
-            self.record(1, started);
-            return out;
-        }
-
-        let chunks = chunk_ranges(items, self.threads);
-        let mut slots: Vec<Option<Vec<U>>> = (0..chunks.len()).map(|_| None).collect();
-        {
-            let f = &f;
-            let tasks: Vec<ScopedTask<'_>> = slots
-                .iter_mut()
-                .zip(chunks.iter().cloned())
-                .map(|(slot, range)| {
-                    Box::new(move || {
-                        *slot = Some(range.map(f).collect());
-                    }) as ScopedTask<'_>
-                })
-                .collect();
-            WorkerPool::global().execute(tasks);
-        }
-        let mut out = Vec::with_capacity(items);
-        for slot in slots {
-            out.extend(slot.expect("the pool ran every chunk"));
-        }
-        self.record(chunks.len() as u64, started);
-        out
-    }
-
-    /// Applies `f` to every element of `items`, returning the results in
-    /// item order (the slice-input convenience over
-    /// [`RoundPrimitives::par_node_map`]).
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.par_node_map(items.len(), |index| f(index, &items[index]))
-    }
-
-    /// Clears `out` and refills it with one value per index of `0..items`:
-    /// inline through one item function from `chunk`, or over the chunk
-    /// grid `grid` builds, one item function per chunk, each chunk writing
-    /// its disjoint sub-slice. `grid` must cover `0..items` in ascending
-    /// order.
-    fn map_into<U, M, F>(
+    /// Clears `out` and refills it with one value per index of `0..items`,
+    /// in index order, recycling its capacity across rounds (buffer reuse
+    /// is booked in the scratch counters).
+    ///
+    /// `weight(index)` estimates the cost of item `index` (callers pass the
+    /// CSR degree for loops that scan an adjacency list, 0 where every item
+    /// costs the same). The parallel path splits the index space into up
+    /// to `STEAL_GRANULARITY × threads` consecutive chunks of roughly equal
+    /// total cost, so the hub-heavy parts of a skewed input shatter into
+    /// stealable tasks; each chunk writes its own sub-slice of `out`.
+    ///
+    /// The item function is built **per chunk**: `chunk` is called once per
+    /// chunk of the grid (once per call when the map runs inline, as it
+    /// always does at one thread) and returns the `FnMut` that computes
+    /// each item of that chunk in index order. That is where a map leases
+    /// the scratch its items reuse — one lease per chunk instead of one
+    /// per item. Each item must still be a pure function of its index, so
+    /// the item function resets that scratch per item; then the values are
+    /// bit-identical for any thread count, however the grid is cut.
+    pub fn par_node_map_weighted_into<U, M, F, W>(
         &self,
         items: usize,
-        grid: impl FnOnce() -> Vec<Range<usize>>,
-        chunk: &M,
+        weight: W,
+        chunk: M,
         out: &mut Vec<U>,
     ) where
         U: Send + Default,
         M: Fn() -> F + Sync,
         F: FnMut(usize) -> U,
+        W: Fn(usize) -> usize,
     {
         let started = Instant::now();
         self.scratch_counters.note(out.capacity() >= items);
@@ -396,7 +324,8 @@ impl RoundPrimitives {
             self.record(1, started);
             return;
         }
-        let chunks = grid();
+        let chunks = cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads);
+        let chunk = &chunk;
         let mut rest: &mut [U] = out;
         let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(chunks.len());
         for range in &chunks {
@@ -415,164 +344,13 @@ impl RoundPrimitives {
         self.record(chunks.len() as u64, started);
     }
 
-    /// [`RoundPrimitives::par_node_map`] writing into a caller-owned,
-    /// reusable output buffer: `out` is cleared and refilled with
-    /// `f(0..items)` in index order, recycling its capacity across rounds
-    /// (chunk results are written straight into disjoint sub-slices — no
-    /// per-chunk buffers either). Values are bit-identical to
-    /// [`RoundPrimitives::par_node_map`] for any thread count; only where
-    /// they live differs. Buffer reuse is booked in the scratch counters.
-    pub fn par_node_map_into<U, F>(&self, items: usize, f: F, out: &mut Vec<U>)
-    where
-        U: Send + Default,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.map_into(items, || chunk_ranges(items, self.threads), &|| &f, out);
-    }
-
-    /// [`RoundPrimitives::par_node_map_weighted`] writing into a
-    /// caller-owned, reusable output buffer (see
-    /// [`RoundPrimitives::par_node_map_into`]), with the item function
-    /// built **per chunk**: `chunk` is called once per chunk of the grid
-    /// (once per call when the map runs inline, as it always does at one
-    /// thread) and returns the `FnMut` that computes each item of that
-    /// chunk in index order. That is where a map leases the scratch its
-    /// items reuse — one lease per chunk instead of one per item. Each
-    /// item must still be a pure function of its index, so the item
-    /// function resets that scratch per item.
-    pub fn par_node_map_weighted_into<U, M, F, W>(
-        &self,
-        items: usize,
-        weight: W,
-        chunk: M,
-        out: &mut Vec<U>,
-    ) where
-        U: Send + Default,
-        M: Fn() -> F + Sync,
-        F: FnMut(usize) -> U,
-        W: Fn(usize) -> usize,
-    {
-        let grid = || {
-            if self.weighted {
-                cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads)
-            } else {
-                chunk_ranges(items, self.threads)
-            }
-        };
-        self.map_into(items, grid, &chunk, out);
-    }
-
-    /// The slice-input convenience over
-    /// [`RoundPrimitives::par_node_map_into`].
-    pub fn par_map_into<T, U, F>(&self, items: &[T], f: F, out: &mut Vec<U>)
-    where
-        T: Sync,
-        U: Send + Default,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.par_node_map_into(items.len(), |index| f(index, &items[index]), out)
-    }
-
-    /// The slice-input convenience over
-    /// [`RoundPrimitives::par_node_map_weighted_into`]: `chunk` returns the
-    /// per-chunk item function over `(index, &items[index])`.
-    pub fn par_map_weighted_into<'a, T, U, M, F, W>(
-        &self,
-        items: &'a [T],
-        weight: W,
-        chunk: M,
-        out: &mut Vec<U>,
-    ) where
-        T: Sync,
-        U: Send + Default,
-        M: Fn() -> F + Sync,
-        F: FnMut(usize, &'a T) -> U,
-        W: Fn(usize, &T) -> usize,
-    {
-        self.par_node_map_weighted_into(
-            items.len(),
-            |index| weight(index, &items[index]),
-            || {
-                let mut f = chunk();
-                move |index| f(index, &items[index])
-            },
-            out,
-        )
-    }
-
-    /// [`RoundPrimitives::par_node_map`] with **cost-weighted chunking**:
-    /// `weight(index)` estimates the cost of item `index` (callers pass the
-    /// CSR degree, `adj_offsets[i + 1] - adj_offsets[i]`), and the index
-    /// space is split into up to `STEAL_GRANULARITY × threads` chunks of
-    /// roughly equal *total* cost instead of `threads` equal-width ranges.
-    /// On skewed (power-law) inputs the hub-heavy parts of the index space
-    /// shatter into stealable tasks, so the pool's work-stealing deques
-    /// keep every worker busy instead of idling behind one hub chunk —
-    /// while pool occupancy stays proportional to the configured thread
-    /// budget.
-    ///
-    /// Results merge in index order, so the output is bit-identical to
-    /// [`RoundPrimitives::par_node_map`] for any thread count — including
-    /// one — no matter how the grid is cut; map grids have always been
-    /// thread-dependent, only reductions need the fixed grid.
-    pub fn par_node_map_weighted<U, F, W>(&self, items: usize, weight: W, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-        W: Fn(usize) -> usize,
-    {
-        if !self.weighted {
-            return self.par_node_map(items, f);
-        }
-        let started = Instant::now();
-        if self.threads == 1 || items < MIN_PAR_ITEMS {
-            let out: Vec<U> = (0..items).map(f).collect();
-            self.record(1, started);
-            return out;
-        }
-
-        let chunks = cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads);
-        let mut slots: Vec<Option<Vec<U>>> = (0..chunks.len()).map(|_| None).collect();
-        {
-            let f = &f;
-            let tasks: Vec<ScopedTask<'_>> = slots
-                .iter_mut()
-                .zip(chunks.iter().cloned())
-                .map(|(slot, range)| {
-                    Box::new(move || {
-                        *slot = Some(range.map(f).collect());
-                    }) as ScopedTask<'_>
-                })
-                .collect();
-            WorkerPool::global().execute(tasks);
-        }
-        let mut out = Vec::with_capacity(items);
-        for slot in slots {
-            out.extend(slot.expect("the pool ran every chunk"));
-        }
-        self.record(chunks.len() as u64, started);
-        out
-    }
-
-    /// The slice-input convenience over
-    /// [`RoundPrimitives::par_node_map_weighted`].
-    pub fn par_map_weighted<T, U, F, W>(&self, items: &[T], weight: W, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-        W: Fn(usize, &T) -> usize,
-    {
-        self.par_node_map_weighted(
-            items.len(),
-            |index| weight(index, &items[index]),
-            |index| f(index, &items[index]),
-        )
-    }
-
     /// One parallel recoloring sweep over an independent set: every member
-    /// `v` of `members` is assigned `f(v, snapshot)` where `snapshot` is the
-    /// state of `colors` *before* the sweep.
+    /// `v` of `members` is assigned `f(v, snapshot)` where `f` comes from
+    /// `chunk` (called once per chunk, as in
+    /// [`RoundPrimitives::par_node_map_weighted_into`]) and `snapshot` is
+    /// the state of `colors` *before* the sweep. `weight(member)` estimates
+    /// each member's sweep cost (callers pass the member's degree — a
+    /// recoloring decision scans its adjacency list).
     ///
     /// This matches the sequential in-place loop exactly **when the members
     /// form an independent set whose decisions only inspect colors no
@@ -580,37 +358,6 @@ impl RoundPrimitives {
     /// classes and the recoloring waves provide. The caller is responsible
     /// for that invariant; the primitive guarantees the snapshot semantics
     /// and the member-order write-back.
-    pub fn par_color_classes<C, F>(&self, members: &[usize], colors: &mut [C], f: F)
-    where
-        C: Copy + Send + Sync + Default + 'static,
-        F: Fn(usize, &[C]) -> C + Sync,
-    {
-        // The sweep's update buffer is leased from the context's scratch
-        // registry, so repeated sweeps (one per color class per round)
-        // recycle one allocation instead of creating a Vec each.
-        let pool = self.scratch_pool::<Vec<C>>();
-        let mut updates = pool.lease();
-        {
-            let snapshot: &[C] = colors;
-            self.par_node_map_into(
-                members.len(),
-                |index| f(members[index], snapshot),
-                &mut updates,
-            );
-        }
-        for (&member, &update) in members.iter().zip(updates.iter()) {
-            colors[member] = update;
-        }
-    }
-
-    /// [`RoundPrimitives::par_color_classes`] with cost-weighted chunking
-    /// over the member list: `weight(member)` estimates each member's sweep
-    /// cost (callers pass the member's degree — a recoloring decision scans
-    /// its adjacency list). Identical results to the unweighted sweep for
-    /// any thread count; only the chunk grid (and therefore load balance
-    /// under skew) differs. Like
-    /// [`RoundPrimitives::par_node_map_weighted_into`], `chunk` is called
-    /// once per chunk and returns the decision function for its members.
     pub fn par_color_classes_weighted<C, M, F, W>(
         &self,
         members: &[usize],
@@ -623,6 +370,9 @@ impl RoundPrimitives {
         F: FnMut(usize, &[C]) -> C,
         W: Fn(usize) -> usize,
     {
+        // The sweep's update buffer is leased from the context's scratch
+        // registry, so repeated sweeps (one per color class per round)
+        // recycle one allocation instead of creating a Vec each.
         let pool = self.scratch_pool::<Vec<C>>();
         let mut updates = pool.lease();
         {
@@ -642,106 +392,17 @@ impl RoundPrimitives {
         }
     }
 
-    /// Chunked fold over `items`: each fixed-width chunk is folded
-    /// left-to-right with `fold` starting from a clone of `identity`, and
-    /// the chunk accumulators are combined left-to-right (in chunk order)
-    /// with `combine`.
+    /// Fold over the index range `0..items`. Inline, one left-to-right
+    /// `(0..items).fold(identity, fold)`. In parallel, the range is cut
+    /// into the same cost-weighted grid as
+    /// [`RoundPrimitives::par_node_map_weighted_into`]; each range is
+    /// folded from a clone of `identity` and the partials are combined
+    /// left-to-right with `combine`.
     ///
-    /// The chunk grid depends only on `items.len()`, never on the thread
-    /// count — so the result is bit-identical across thread counts even for
-    /// non-associative accumulators (floating-point sums, ordered
-    /// collection).
-    pub fn par_reduce<T, A, F, C>(&self, items: &[T], identity: A, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Clone + Send + Sync + 'static,
-        F: Fn(A, usize, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        self.par_reduce_range(
-            items.len(),
-            identity,
-            |acc, index| fold(acc, index, &items[index]),
-            combine,
-        )
-    }
-
-    /// [`RoundPrimitives::par_reduce`] over the index range `0..items`.
-    pub fn par_reduce_range<A, F, C>(&self, items: usize, identity: A, fold: F, combine: C) -> A
-    where
-        A: Clone + Send + Sync + 'static,
-        F: Fn(A, usize) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let started = Instant::now();
-        let num_chunks = items.div_ceil(REDUCE_CHUNK).max(1);
-        let chunk_partial = |chunk: usize| -> A {
-            let start = chunk * REDUCE_CHUNK;
-            let end = (start + REDUCE_CHUNK).min(items);
-            (start..end).fold(identity.clone(), &fold)
-        };
-        if self.threads == 1 || items < MIN_PAR_REDUCE_ITEMS {
-            // Same chunk grid as the parallel path, executed inline — the
-            // per-chunk partials and the left-to-right combine (and
-            // therefore any floating-point rounding) are identical.
-            let acc = (0..num_chunks)
-                .map(chunk_partial)
-                .reduce(&combine)
-                .unwrap_or(identity);
-            self.record(1, started);
-            return acc;
-        }
-
-        // Dispatch at most `threads` tasks, each filling a contiguous run
-        // of per-chunk slots. The grouping affects only scheduling: the
-        // partials are still one per fixed chunk, combined left-to-right
-        // in chunk order below, so the result never depends on the
-        // thread count. The partial grid itself is leased scratch, reused
-        // across reduce calls.
-        let groups = chunk_ranges(num_chunks, self.threads);
-        let num_groups = groups.len();
-        let slots_pool = self.scratch_pool::<Vec<Option<A>>>();
-        let mut slots = slots_pool.lease();
-        slots.clear();
-        slots.resize_with(num_chunks, || None);
-        {
-            let chunk_partial = &chunk_partial;
-            let mut rest: &mut [Option<A>] = &mut slots;
-            let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(num_groups);
-            for group in groups {
-                let (mine, remainder) = rest.split_at_mut(group.len());
-                rest = remainder;
-                tasks.push(Box::new(move || {
-                    for (offset, slot) in mine.iter_mut().enumerate() {
-                        *slot = Some(chunk_partial(group.start + offset));
-                    }
-                }) as ScopedTask<'_>);
-            }
-            WorkerPool::global().execute(tasks);
-        }
-        let acc = slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("the pool ran every chunk"))
-            .reduce(combine)
-            .unwrap_or(identity);
-        self.record(num_groups as u64, started);
-        acc
-    }
-
-    /// [`RoundPrimitives::par_reduce_range`] with **cost-weighted
-    /// chunking**: the chunk grid is derived from the prefix sum of
-    /// `weight(index)` (callers pass the CSR degree for edge-dominated
-    /// folds), so skewed index ranges split into many cost-balanced,
-    /// stealable chunks instead of the fixed equal-width grid.
-    ///
-    /// The grid depends only on the weights — never on the thread count —
-    /// and the inline path folds over the *same* grid, so results are
-    /// bit-identical across thread counts even for non-associative
-    /// accumulators. (Between the weighted and the unweighted primitive
-    /// the grids differ, so only associative-and-commutative-free
-    /// accumulators — sums, `Option::or` in index order — may switch
-    /// between the two without changing results; that is what the
-    /// simulators use.)
+    /// That grid depends on the thread count, so the result must not
+    /// depend on where the range is split (see the module's determinism
+    /// contract): an integer count plus the first match in index order
+    /// qualifies, a floating-point sum does not.
     pub fn par_reduce_range_weighted<A, F, C, W>(
         &self,
         items: usize,
@@ -751,118 +412,49 @@ impl RoundPrimitives {
         combine: C,
     ) -> A
     where
-        A: Clone + Send + Sync + 'static,
+        A: Clone + Send + Sync,
         F: Fn(A, usize) -> A + Sync,
         C: Fn(A, A) -> A,
         W: Fn(usize) -> usize,
     {
-        if !self.weighted {
-            return self.par_reduce_range(items, identity, fold, combine);
-        }
         let started = Instant::now();
-        let (chunks, chunk_costs) = weighted_chunk_grid(items, weight);
-        let chunk_partial =
-            |range: std::ops::Range<usize>| -> A { range.fold(identity.clone(), &fold) };
         if self.threads == 1 || items < MIN_PAR_REDUCE_ITEMS {
-            // Same weighted grid as the parallel path, executed inline —
-            // the per-chunk partials and the left-to-right combine (and
-            // therefore any floating-point rounding) are identical.
-            let acc = chunks
-                .into_iter()
-                .map(chunk_partial)
-                .reduce(&combine)
-                .unwrap_or(identity);
+            let acc = (0..items).fold(identity, &fold);
             self.record(1, started);
             return acc;
         }
-
-        // The partials stay one per fixed chunk (combined left-to-right in
-        // chunk order below, so the result never depends on the thread
-        // count), but the *dispatch* groups contiguous chunks by their
-        // cost into at most STEAL_GRANULARITY × threads stealable tasks —
-        // bounding pool occupancy by the thread budget, like the maps.
-        // The partial grid is leased scratch, reused across reduce calls.
-        let num_chunks = chunks.len();
-        let groups = cost_grouped_ranges(
-            num_chunks,
-            |chunk| chunk_costs[chunk] as usize,
-            STEAL_GRANULARITY * self.threads,
-        );
-        let num_groups = groups.len();
-        let slots_pool = self.scratch_pool::<Vec<Option<A>>>();
-        let mut slots = slots_pool.lease();
-        slots.clear();
-        slots.resize_with(num_chunks, || None);
+        let groups = cost_grouped_ranges(items, weight, STEAL_GRANULARITY * self.threads);
+        let mut partials: Vec<Option<A>> = (0..groups.len()).map(|_| None).collect();
         {
-            let chunk_partial = &chunk_partial;
-            let chunks = &chunks;
-            let mut rest: &mut [Option<A>] = &mut slots;
-            let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(num_groups);
-            for group in groups {
-                let (mine, remainder) = rest.split_at_mut(group.len());
-                rest = remainder;
-                tasks.push(Box::new(move || {
-                    for (offset, slot) in mine.iter_mut().enumerate() {
-                        *slot = Some(chunk_partial(chunks[group.start + offset].clone()));
-                    }
-                }) as ScopedTask<'_>);
-            }
+            let (identity, fold) = (&identity, &fold);
+            let tasks: Vec<ScopedTask<'_>> = partials
+                .iter_mut()
+                .zip(groups.iter().cloned())
+                .map(|(slot, range)| {
+                    Box::new(move || {
+                        *slot = Some(range.fold(identity.clone(), fold));
+                    }) as ScopedTask<'_>
+                })
+                .collect();
             WorkerPool::global().execute(tasks);
         }
-        let acc = slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("the pool ran every chunk"))
+        let acc = partials
+            .into_iter()
+            .map(|partial| partial.expect("the pool ran every range"))
             .reduce(combine)
             .unwrap_or(identity);
-        self.record(num_groups as u64, started);
+        self.record(groups.len() as u64, started);
         acc
     }
 
-    /// The slice-input convenience over
-    /// [`RoundPrimitives::par_reduce_range_weighted`].
-    pub fn par_reduce_weighted<T, A, F, C, W>(
-        &self,
-        items: &[T],
-        weight: W,
-        identity: A,
-        fold: F,
-        combine: C,
-    ) -> A
-    where
-        T: Sync,
-        A: Clone + Send + Sync + 'static,
-        F: Fn(A, usize, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-        W: Fn(usize, &T) -> usize,
-    {
-        self.par_reduce_range_weighted(
-            items.len(),
-            |index| weight(index, &items[index]),
-            identity,
-            |acc, index| fold(acc, index, &items[index]),
-            combine,
-        )
-    }
-
-    /// The indices in `0..items` satisfying `pred`, in ascending order —
-    /// the parallel form of a sequential `filter` over the node range.
-    pub fn par_collect_indices<F>(&self, items: usize, pred: F) -> Vec<usize>
-    where
-        F: Fn(usize) -> bool + Sync,
-    {
-        let mut out = Vec::new();
-        self.par_collect_indices_into(items, pred, &mut out);
-        out
-    }
-
-    /// [`RoundPrimitives::par_collect_indices`] writing into a
-    /// caller-owned, reusable output buffer: `out` is cleared and refilled
-    /// with the matching indices in ascending order. The parallel path
-    /// filters each chunk into a scratch-leased buffer and concatenates
-    /// them in chunk order, so in steady state neither the chunks nor the
-    /// output allocate. Output values are independent of the thread count
-    /// and the chunk grid (ascending chunks of ascending indices
-    /// concatenate to the plain filter).
+    /// Clears `out` and refills it with the indices in `0..items`
+    /// satisfying `pred`, in ascending order — the parallel form of a
+    /// sequential `filter` over the node range. The parallel path filters
+    /// each chunk into a scratch-leased buffer and concatenates them in
+    /// chunk order, so in steady state neither the chunks nor the output
+    /// allocate. Output values are independent of the thread count and the
+    /// chunk grid (ascending chunks of ascending indices concatenate to the
+    /// plain filter).
     pub fn par_collect_indices_into<F>(&self, items: usize, pred: F, out: &mut Vec<usize>)
     where
         F: Fn(usize) -> bool + Sync,
@@ -908,23 +500,39 @@ mod tests {
     use super::*;
     use std::panic::{self, AssertUnwindSafe};
 
+    /// `par_node_map_weighted_into` with a plain per-item function.
+    fn map<U, F, W>(primitives: &RoundPrimitives, items: usize, weight: W, f: F) -> Vec<U>
+    where
+        U: Send + Default,
+        F: Fn(usize) -> U + Sync,
+        W: Fn(usize) -> usize,
+    {
+        let mut out = Vec::new();
+        primitives.par_node_map_weighted_into(items, weight, || &f, &mut out);
+        out
+    }
+
     #[test]
     fn node_map_merges_in_index_order_for_any_thread_count() {
         let reference: Vec<usize> = (0..10_000).map(|i| i * 3 + 1).collect();
         for threads in [1usize, 2, 4, 7] {
             let primitives = RoundPrimitives::new(threads);
-            let out = primitives.par_node_map(10_000, |i| i * 3 + 1);
+            let out = map(&primitives, 10_000, |_| 0, |i| i * 3 + 1);
             assert_eq!(out, reference, "threads = {threads}");
             assert!(primitives.tasks_executed() >= 1);
         }
     }
 
     #[test]
-    fn slice_map_matches_node_map() {
-        let items: Vec<u64> = (0..5_000).map(|i| i * i).collect();
-        let sequential = RoundPrimitives::sequential().par_map(&items, |i, &x| x + i as u64);
-        let parallel = RoundPrimitives::new(4).par_map(&items, |i, &x| x + i as u64);
-        assert_eq!(sequential, parallel);
+    fn weighted_map_is_bit_identical_for_any_thread_count() {
+        // A hub-heavy weight profile: item 0 is 10_000x heavier.
+        let weight = |i: usize| if i == 0 { 100_000 } else { 10 };
+        let reference: Vec<usize> = (0..20_000).map(|i| i * 5 + 2).collect();
+        for threads in [1usize, 2, 4, 7] {
+            let primitives = RoundPrimitives::new(threads);
+            let out = map(&primitives, 20_000, weight, |i| i * 5 + 2);
+            assert_eq!(out, reference, "threads = {threads}");
+        }
     }
 
     #[test]
@@ -936,7 +544,12 @@ mod tests {
         for threads in [1usize, 4] {
             let mut colors: Vec<usize> = (0..8_000).collect();
             let primitives = RoundPrimitives::new(threads);
-            primitives.par_color_classes(&members, &mut colors, |v, snapshot| snapshot[v] * 2);
+            primitives.par_color_classes_weighted(
+                &members,
+                &mut colors,
+                |member| member % 97,
+                || |v, snapshot: &[usize]| snapshot[v] * 2,
+            );
             for (v, &color) in colors.iter().enumerate() {
                 let expected = if v % 2 == 0 { v * 2 } else { v };
                 assert_eq!(color, expected, "threads {threads}, node {v}");
@@ -945,23 +558,40 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_bit_identical_across_thread_counts_even_for_floats() {
-        // A sum of values at many magnitudes: any change in association
-        // order shows up in the low bits.
-        let items: Vec<f64> = (0..50_000)
-            .map(|i| (i as f64).sqrt() * if i % 3 == 0 { 1e-9 } else { 1e3 })
-            .collect();
-        let sum = |threads: usize| -> f64 {
-            RoundPrimitives::new(threads).par_reduce(
-                &items,
-                0.0f64,
-                |acc, _, &x| acc + x,
-                |a, b| a + b,
+    fn skewed_reduce_is_identical_across_thread_counts() {
+        // An integer sum plus the first match in index order: both are
+        // independent of where the range is split, which is the reduce's
+        // contract. Skewed weights cut the parallel grid unevenly.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        struct Check {
+            sum: u64,
+            first: Option<usize>,
+        }
+        let weight = |i: usize| if i.is_multiple_of(1_000) { 5_000 } else { 1 };
+        let reduce = |threads: usize| -> Check {
+            RoundPrimitives::new(threads).par_reduce_range_weighted(
+                50_000,
+                weight,
+                Check::default(),
+                |mut acc: Check, i| {
+                    acc.sum += (i as u64 * 2_654_435_761) % 1_000;
+                    if i > 20_000 && i % 7_919 == 0 {
+                        acc.first = acc.first.or(Some(i));
+                    }
+                    acc
+                },
+                |left, right| Check {
+                    sum: left.sum + right.sum,
+                    first: left.first.or(right.first),
+                },
             )
         };
-        let reference = sum(1);
-        for threads in [2usize, 3, 8] {
-            assert_eq!(reference.to_bits(), sum(threads).to_bits());
+        let expected = Check {
+            sum: (0..50_000u64).map(|i| (i * 2_654_435_761) % 1_000).sum(),
+            first: Some(23_757),
+        };
+        for threads in [1usize, 2, 3, 8] {
+            assert_eq!(reduce(threads), expected, "threads {threads}");
         }
     }
 
@@ -969,7 +599,12 @@ mod tests {
     fn collect_indices_preserves_ascending_order() {
         let reference: Vec<usize> = (0..20_000).filter(|i| i % 7 == 0).collect();
         for threads in [1usize, 4] {
-            let out = RoundPrimitives::new(threads).par_collect_indices(20_000, |i| i % 7 == 0);
+            let mut out = vec![3];
+            RoundPrimitives::new(threads).par_collect_indices_into(
+                20_000,
+                |i| i % 7 == 0,
+                &mut out,
+            );
             assert_eq!(out, reference, "threads = {threads}");
         }
     }
@@ -979,12 +614,17 @@ mod tests {
         for threads in [1usize, 4] {
             let primitives = RoundPrimitives::new(threads);
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                primitives.par_node_map(5_000, |i| {
-                    if i == 4_321 {
-                        panic!("intra-layer task exploded");
-                    }
-                    i
-                })
+                map(
+                    &primitives,
+                    5_000,
+                    |_| 0,
+                    |i| {
+                        if i == 4_321 {
+                            panic!("intra-layer task exploded");
+                        }
+                        i
+                    },
+                )
             }));
             let payload = result.expect_err("the panic must reach the submitter");
             let message = payload
@@ -998,76 +638,18 @@ mod tests {
     #[test]
     fn stats_accumulate_tasks_and_wall_clock() {
         let primitives = RoundPrimitives::new(4);
-        let _ = primitives.par_node_map(50_000, |i| i);
-        let _ = primitives.par_reduce_range(50_000, 0usize, |a, i| a + i, |a, b| a + b);
+        let _ = map(&primitives, 50_000, |_| 0, |i| i);
+        let _ =
+            primitives.par_reduce_range_weighted(50_000, |_| 0, 0usize, |a, i| a + i, |a, b| a + b);
         let stats = primitives.runtime_stats();
-        // 4 map chunks + 4 reduce chunk-groups (one per thread).
-        assert!(stats.intra_tasks >= 4 + 4, "{}", stats.intra_tasks);
+        // Equal weights cut both grids into STEAL_GRANULARITY × threads
+        // equal ranges: one task each.
+        assert_eq!(stats.intra_tasks, 2 * (STEAL_GRANULARITY * 4) as u64);
         assert!(stats.intra_wall_nanos > 0);
         // Model-level fields stay zero: intra stats never affect metric
         // equality.
         assert_eq!(stats.wall_clock_nanos, 0);
         assert_eq!(stats.conflict_merges, 0);
-    }
-
-    #[test]
-    fn weighted_map_is_bit_identical_for_any_thread_count() {
-        // A hub-heavy weight profile: item 0 is 10_000x heavier.
-        let weight = |i: usize| if i == 0 { 100_000 } else { 10 };
-        let reference: Vec<usize> = (0..20_000).map(|i| i * 5 + 2).collect();
-        for threads in [1usize, 2, 4, 7] {
-            let primitives = RoundPrimitives::new(threads);
-            let out = primitives.par_node_map_weighted(20_000, weight, |i| i * 5 + 2);
-            assert_eq!(out, reference, "threads = {threads}");
-        }
-        // The contiguous fallback produces the same values through the
-        // unweighted grid.
-        let contiguous = RoundPrimitives::new(4).contiguous();
-        assert!(!contiguous.is_weighted());
-        let out = contiguous.par_node_map_weighted(20_000, weight, |i| i * 5 + 2);
-        assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn weighted_reduce_is_bit_identical_across_thread_counts_even_for_floats() {
-        // Non-associative accumulator + skewed weights: the weighted grid
-        // must be the same for every thread count (it only depends on the
-        // prefix sum of the weights), so the float sum's low bits agree.
-        let items: Vec<f64> = (0..50_000)
-            .map(|i| (i as f64).sqrt() * if i % 5 == 0 { 1e-9 } else { 1e3 })
-            .collect();
-        let weight = |i: usize, _: &f64| if i.is_multiple_of(1000) { 5_000 } else { 1 };
-        let sum = |threads: usize| -> f64 {
-            RoundPrimitives::new(threads).par_reduce_weighted(
-                &items,
-                weight,
-                0.0f64,
-                |acc, _, &x| acc + x,
-                |a, b| a + b,
-            )
-        };
-        let reference = sum(1);
-        for threads in [2usize, 3, 8] {
-            assert_eq!(reference.to_bits(), sum(threads).to_bits());
-        }
-    }
-
-    #[test]
-    fn weighted_color_classes_match_unweighted_sweeps() {
-        let members: Vec<usize> = (0..9_000).step_by(3).collect();
-        let mut expected: Vec<usize> = (0..9_000).collect();
-        RoundPrimitives::sequential()
-            .par_color_classes(&members, &mut expected, |v, snapshot| snapshot[v] + 7);
-        for threads in [1usize, 4] {
-            let mut colors: Vec<usize> = (0..9_000).collect();
-            RoundPrimitives::new(threads).par_color_classes_weighted(
-                &members,
-                &mut colors,
-                |member| member % 97,
-                || |v, snapshot| snapshot[v] + 7,
-            );
-            assert_eq!(colors, expected, "threads {threads}");
-        }
     }
 
     #[test]

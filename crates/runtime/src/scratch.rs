@@ -22,10 +22,7 @@
 //!   [`crate::RoundEngine::round`] and
 //!   [`crate::RoundPrimitives::par_node_map_weighted_into`] lease, and the
 //!   item function they return reuses the buffer for every item of the
-//!   chunk. Pools are **generation-checked**: bumping the generation
-//!   ([`ScratchPool::advance_generation`]) lazily discards every cached
-//!   buffer, so a caller that cannot prove its buffers reset cleanly can
-//!   force fresh ones without walking the pool.
+//!   chunk.
 //! * [`ScratchCounters`] / [`scratch_totals`] — reuse-vs-alloc accounting.
 //!   Each pool bumps its shared counters (surfaced per round as
 //!   [`ampc_model::RoundRuntimeStats::scratch_reuses`] /
@@ -124,12 +121,6 @@ impl ScratchCounters {
 /// [`thread_slot`], so up to this many threads lease without contending.
 const SCRATCH_SHARDS: usize = 16;
 
-/// A cached buffer, tagged with the pool generation it was returned under.
-struct Entry<T> {
-    value: T,
-    generation: u64,
-}
-
 /// A thread-indexed pool of reusable `T: Default` scratch buffers.
 ///
 /// [`ScratchPool::lease`] pops a cached buffer from the current thread's
@@ -140,21 +131,14 @@ struct Entry<T> {
 /// `Vec::clear`) that the *user* of the lease applies, so stale contents
 /// can never influence results even when a buffer migrates between
 /// workloads.
-///
-/// Pools are generation-checked: [`ScratchPool::advance_generation`]
-/// invalidates every cached buffer lazily (stale entries are dropped the
-/// next time a lease finds them), forcing fresh `T::default()` values
-/// without walking the shards.
 pub struct ScratchPool<T> {
-    shards: Vec<Mutex<Vec<Entry<T>>>>,
-    generation: AtomicU64,
+    shards: Vec<Mutex<Vec<T>>>,
     counters: Arc<ScratchCounters>,
 }
 
 impl<T> std::fmt::Debug for ScratchPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScratchPool")
-            .field("generation", &self.generation.load(Ordering::Relaxed))
             .field("counters", &self.counters)
             .finish()
     }
@@ -180,43 +164,22 @@ impl<T: Default> ScratchPool<T> {
             shards: (0..SCRATCH_SHARDS)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            generation: AtomicU64::new(0),
             counters,
         }
     }
 
-    /// Leases a buffer: a recycled one when the thread's shard has a
-    /// current-generation entry cached, a fresh `T::default()` otherwise.
-    /// The buffer returns to the pool when the lease drops.
+    /// Leases a buffer: a recycled one when the thread's shard has one
+    /// cached, a fresh `T::default()` otherwise. The buffer returns to the
+    /// pool when the lease drops.
     pub fn lease(&self) -> ScratchLease<'_, T> {
         let shard = thread_slot() % self.shards.len();
-        let generation = self.generation.load(Ordering::Acquire);
-        let recycled = {
-            let mut entries = lock(&self.shards[shard]);
-            loop {
-                match entries.pop() {
-                    None => break None,
-                    Some(entry) if entry.generation == generation => break Some(entry.value),
-                    // Stale generation: drop the buffer and keep looking.
-                    Some(_) => continue,
-                }
-            }
-        };
-        let reused = recycled.is_some();
-        self.counters.note(reused);
+        let recycled = lock(&self.shards[shard]).pop();
+        self.counters.note(recycled.is_some());
         ScratchLease {
             pool: self,
             shard,
-            generation,
             value: Some(recycled.unwrap_or_default()),
         }
-    }
-
-    /// Invalidates every cached buffer (lazily): subsequent leases create
-    /// fresh `T::default()` values, and buffers returned by still-live
-    /// leases of older generations are dropped instead of recycled.
-    pub fn advance_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// The pool's shared counters.
@@ -224,8 +187,7 @@ impl<T: Default> ScratchPool<T> {
         &self.counters
     }
 
-    /// Number of buffers currently cached (for tests/diagnostics; stale
-    /// generations still count until a lease discards them).
+    /// Number of buffers currently cached (for tests/diagnostics).
     pub fn cached(&self) -> usize {
         self.shards.iter().map(|shard| lock(shard).len()).sum()
     }
@@ -236,7 +198,6 @@ impl<T: Default> ScratchPool<T> {
 pub struct ScratchLease<'a, T: Default> {
     pool: &'a ScratchPool<T>,
     shard: usize,
-    generation: u64,
     /// Present from construction until `Drop` takes it back.
     value: Option<T>,
 }
@@ -258,15 +219,7 @@ impl<T: Default> std::ops::DerefMut for ScratchLease<'_, T> {
 impl<T: Default> Drop for ScratchLease<'_, T> {
     fn drop(&mut self) {
         let value = self.value.take().expect("dropped once");
-        // A generation bump while the lease was out means the buffer is
-        // considered stale: drop it instead of recycling.
-        if self.pool.generation.load(Ordering::Acquire) != self.generation {
-            return;
-        }
-        lock(&self.pool.shards[self.shard]).push(Entry {
-            value,
-            generation: self.generation,
-        });
+        lock(&self.pool.shards[self.shard]).push(value);
     }
 }
 
@@ -398,32 +351,6 @@ mod tests {
             "only the first lease allocates"
         );
         assert_eq!(pool.counters().reuses(), 1);
-    }
-
-    #[test]
-    fn advancing_the_generation_discards_cached_buffers() {
-        let pool: ScratchPool<Vec<u64>> = ScratchPool::new();
-        {
-            let mut lease = pool.lease();
-            lease.push(42);
-        }
-        pool.advance_generation();
-        {
-            let lease = pool.lease();
-            assert!(lease.is_empty(), "stale-generation buffers are dropped");
-        }
-        assert_eq!(pool.counters().allocs(), 2);
-        assert_eq!(pool.counters().reuses(), 0);
-        // A lease outstanding across the bump is dropped on return, not
-        // recycled: the next lease after the bump allocates fresh.
-        let lease = pool.lease(); // recycles the current-generation buffer
-        assert_eq!(pool.counters().reuses(), 1);
-        pool.advance_generation();
-        drop(lease);
-        assert_eq!(pool.cached(), 0, "stale returns are discarded");
-        let fresh = pool.lease();
-        assert_eq!(pool.counters().allocs(), 3);
-        drop(fresh);
     }
 
     #[test]

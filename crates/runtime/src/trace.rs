@@ -607,7 +607,7 @@ mod tests {
         for v in 0..4u64 {
             assert_eq!(bucket_index(v), v as usize, "value {v}");
         }
-        // Every bucket contains its own bounds, buckets are contiguous and
+        // Every bucket contains its own bounds, buckets are adjacent and
         // the index is monotone in the value.
         for index in 0..HISTOGRAM_BUCKETS {
             let lower = bucket_lower(index);
@@ -615,7 +615,7 @@ mod tests {
             let upper = bucket_upper(index);
             assert_eq!(bucket_index(upper), index, "upper bound of {index}");
             if index + 1 < HISTOGRAM_BUCKETS {
-                assert_eq!(upper + 1, bucket_lower(index + 1), "contiguous at {index}");
+                assert_eq!(upper + 1, bucket_lower(index + 1), "adjacent at {index}");
             } else {
                 assert_eq!(upper, u64::MAX);
             }

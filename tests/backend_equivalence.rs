@@ -10,12 +10,11 @@ use ampc_model::{
 };
 use ampc_runtime::{RoundEngine, RoundPrimitives};
 use arbo_coloring::{
-    arb_linial_coloring_with_runtime, derandomized_coloring_relabeled,
-    derandomized_coloring_with_runtime, kw_color_reduction_with_runtime,
-    recolor_layers_with_runtime, DerandParams, RecolorOrder,
+    arb_linial_coloring_with_runtime, derandomized_coloring_with_runtime,
+    kw_color_reduction_with_runtime, recolor_layers_with_runtime, DerandParams, RecolorOrder,
 };
 use beta_partition::{ampc_beta_partition, natural_partition, PartitionParams};
-use sparse_graph::{relabel, Coloring, Orientation, RelabelPolicy};
+use sparse_graph::{greedy_by_degeneracy_order, Coloring, CsrGraph, Orientation};
 
 const ALL_WORKLOADS: [Workload; 5] = [
     Workload::ForestUnion { n: 400, k: 2 },
@@ -209,10 +208,11 @@ fn partitions_and_colorings_agree_on_every_workload() {
 /// The intra-layer determinism matrix: the LOCAL simulators themselves
 /// (Arb-Linial rounds, Kuhn–Wattenhofer sweeps) produce bit-identical
 /// colorings, palette trajectories and round counts on the round
-/// primitives — now with cost-weighted chunking and the work-stealing
-/// deques engaged — for every workload and thread count, including the
-/// skewed hub-and-spoke workload whose by-id orientation piles most of the
-/// per-node cost onto a few hubs.
+/// primitives for every workload and thread count, including the skewed
+/// hub-and-spoke workload whose by-id orientation piles most of the
+/// per-node cost onto a few hubs. These graphs are small enough that every
+/// primitive runs inline; `primitives_past_their_inline_thresholds_agree`
+/// covers the pool.
 #[test]
 fn intra_layer_simulators_are_bit_identical_across_thread_counts() {
     for workload in ALL_WORKLOADS {
@@ -263,49 +263,106 @@ fn intra_layer_simulators_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// The scheduler A/B is output-invisible: on the skewed workloads (by-id
-/// orientations, hub out-degrees = hub degrees) the cost-weighted grid +
-/// stealing and the PR 3 contiguous grid produce bit-identical colorings,
-/// palette trajectories and round counts — both equal to the sequential
-/// reference — for every thread count. Only the wall clock may differ.
+/// Orients every edge along the degeneracy order (out-degree ≈ degeneracy),
+/// the low out-degree orientation a β-partition provides.
+fn degeneracy_orientation(graph: &CsrGraph) -> Orientation {
+    let decomposition = sparse_graph::degeneracy_ordering(graph);
+    let mut position = vec![0usize; graph.num_nodes()];
+    for (i, &v) in decomposition.ordering.iter().enumerate() {
+        position[v] = i;
+    }
+    Orientation::from_total_order(graph, |v| position[v])
+}
+
+/// The size of the largest group of nodes sharing `key`.
+fn largest_group<K: Ord>(keys: impl Iterator<Item = K>) -> usize {
+    let mut counts = std::collections::BTreeMap::new();
+    for key in keys {
+        *counts.entry(key).or_insert(0usize) += 1;
+    }
+    counts.into_values().max().unwrap_or(0)
+}
+
+/// Every kept round primitive on inputs past its inline threshold (4,096
+/// items for a map or color-class sweep, 16,384 for the reduce and the
+/// index collect), so each one runs on the worker pool at threads
+/// {2, 4, 7} and must reproduce its threads = 1 result:
+///
+/// * Kuhn–Wattenhofer on a 20k-node forest union collects color classes
+///   over all nodes, compacts all colors, and sweeps classes of more than
+///   4,096 members (a 4-ish-color greedy coloring shifted above the
+///   target palette, so whole greedy classes are eliminated at once).
+/// * Recoloring on the same graph reduces over all nodes and maps waves of
+///   more than 4,096 members. Its initial coloring is a greedy coloring of
+///   each layer on its own: proper inside every layer, with cross-layer
+///   conflicts for the waves to repair.
+/// * Arb-Linial and the derandomized coloring on a 20k-node power-law
+///   graph, Arb-Linial with a degeneracy orientation so its rounds do node
+///   work.
 #[test]
-fn weighted_and_contiguous_schedulers_agree_on_skewed_workloads() {
-    for workload in [
-        Workload::HubAndSpoke {
-            n: 600,
-            communities: 4,
-        },
-        Workload::PowerLaw {
-            n: 600,
-            edges_per_node: 3,
-        },
-    ] {
-        let graph = workload.build(104);
-        let orientation = Orientation::from_total_order(&graph, |v| v);
-        let reference = arb_linial_coloring_with_runtime(
-            &graph,
-            &orientation,
-            None,
-            &RoundPrimitives::sequential(),
+fn primitives_past_their_inline_thresholds_agree() {
+    let forest = Workload::ForestUnion { n: 20_000, k: 2 }.build(110);
+    let n = forest.num_nodes();
+    let delta = forest.max_degree();
+    let greedy = greedy_by_degeneracy_order(&forest);
+    let kw_initial = Coloring::new(greedy.colors().iter().map(|&c| c + delta + 1).collect());
+    assert!(largest_group(greedy.colors().iter()) > 4_096);
+
+    let partition = natural_partition(&forest, 2 * 2 + 2);
+    let mut layered = vec![0usize; n];
+    for v in 0..n {
+        let used: Vec<usize> = forest
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| w < v && partition.layer(w) == partition.layer(v))
+            .map(|&w| layered[w])
+            .collect();
+        layered[v] = (0..).find(|c| !used.contains(c)).expect("a free color");
+    }
+    assert!(largest_group((0..n).map(|v| (partition.layer(v), layered[v]))) > 4_096);
+    let recolor_initial = Coloring::new(layered);
+
+    let power_law = Workload::PowerLaw {
+        n: 20_000,
+        edges_per_node: 3,
+    }
+    .build(111);
+    let orientation = degeneracy_orientation(&power_law);
+    let params = DerandParams::with_x(2);
+
+    let run = |threads: usize| {
+        let primitives = RoundPrimitives::new(threads);
+        let kw = kw_color_reduction_with_runtime(&forest, &kw_initial, delta, &primitives)
+            .expect("KW succeeds");
+        let recolored = recolor_layers_with_runtime(
+            &forest,
+            &partition,
+            &recolor_initial,
+            RecolorOrder::HighestAvailable,
+            &primitives,
         )
-        .expect("sequential Arb-Linial succeeds");
-        for threads in [1usize, 2, 4, 7] {
-            for contiguous in [false, true] {
-                let primitives = if contiguous {
-                    RoundPrimitives::new(threads).contiguous()
-                } else {
-                    RoundPrimitives::new(threads)
-                };
-                let run = arb_linial_coloring_with_runtime(&graph, &orientation, None, &primitives)
-                    .expect("Arb-Linial succeeds");
-                assert_eq!(
-                    reference.coloring, run.coloring,
-                    "workload {workload:?}, threads {threads}, contiguous {contiguous}"
-                );
-                assert_eq!(reference.palette_trajectory, run.palette_trajectory);
-                assert_eq!(reference.rounds, run.rounds);
-            }
-        }
+        .expect("recolor succeeds");
+        let linial = arb_linial_coloring_with_runtime(&power_law, &orientation, None, &primitives)
+            .expect("Arb-Linial succeeds");
+        let derand = derandomized_coloring_with_runtime(&power_law, &params, &primitives);
+        (
+            (kw.coloring, kw.palette_trajectory, kw.rounds),
+            (recolored.coloring, recolored.repaired_conflicts),
+            (linial.coloring, linial.palette_trajectory, linial.rounds),
+            (derand.coloring, derand.uncolored_history, derand.mpc_rounds),
+        )
+    };
+    let reference = run(1);
+    assert!(reference.0 .2 > 0, "KW ran elimination rounds");
+    assert!(reference.1 .1 > 0, "recolor repaired cross-layer conflicts");
+    assert!(reference.2 .2 > 0, "Arb-Linial ran rounds");
+    for threads in [2usize, 4, 7] {
+        let parallel = run(threads);
+        // `assert!`, not `assert_eq!`: a mismatch would print 20k colors.
+        assert!(parallel.0 == reference.0, "KW, threads {threads}");
+        assert!(parallel.1 == reference.1, "recolor, threads {threads}");
+        assert!(parallel.2 == reference.2, "Arb-Linial, threads {threads}");
+        assert!(parallel.3 == reference.3, "derand, threads {threads}");
     }
 }
 
@@ -363,137 +420,6 @@ fn recolor_and_derand_sweeps_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// The relabel × thread matrix of the memory-layout pass: every simulator,
-/// run on a cache-aware relabeled instance (permute → color → un-permute),
-/// reproduces the unrelabeled sequential reference byte for byte, for
-/// every workload, relabel policy and thread count.
-///
-/// The ingredients of the contract (pinned here, argued in
-/// `sparse_graph::relabel`'s module docs): orientations are computed on
-/// the *original* graph and pushed through the permutation; initial
-/// colorings are permuted alongside the graph; the derandomized coloring —
-/// whose GF(2) queries read node ids — encodes *original* ids via
-/// [`derandomized_coloring_relabeled`].
-#[test]
-fn relabeled_runs_unpermute_to_the_unrelabeled_reference() {
-    for workload in ALL_WORKLOADS {
-        let graph = workload.build(108);
-        let n = graph.num_nodes();
-        let orientation = Orientation::from_total_order(&graph, |v| v);
-        let initial = Coloring::new((0..n).collect());
-        let delta = graph.max_degree();
-        let beta = 2 * workload.alpha_bound() + 2;
-        let derand_params = DerandParams::with_x(2);
-
-        let sequential = RoundPrimitives::sequential();
-        let linial_reference =
-            arb_linial_coloring_with_runtime(&graph, &orientation, Some(&initial), &sequential)
-                .expect("reference Arb-Linial succeeds");
-        let kw_reference = kw_color_reduction_with_runtime(&graph, &initial, delta, &sequential)
-            .expect("reference KW succeeds");
-        let recolor_reference = recolor_layers_with_runtime(
-            &graph,
-            &natural_partition(&graph, beta),
-            &initial,
-            RecolorOrder::HighestAvailable,
-            &sequential,
-        )
-        .expect("reference recolor succeeds");
-        let derand_reference =
-            derandomized_coloring_with_runtime(&graph, &derand_params, &sequential);
-
-        for policy in RelabelPolicy::ALL {
-            let (relabeled, permutation) = relabel(&graph, policy);
-            // Push the *original* instance through the permutation: the
-            // orientation keeps its original tie-breaks, the initial colors
-            // follow their nodes.
-            let pushed_orientation = permutation.permute_orientation(&orientation);
-            let pushed_initial = Coloring::new(permutation.permute_colors(initial.colors()));
-            // The natural partition peels whole threshold sets at a time,
-            // so its layers are label-independent and can be recomputed on
-            // the relabeled graph directly.
-            let pushed_partition = natural_partition(&relabeled, beta);
-
-            for threads in [1usize, 4] {
-                let primitives = RoundPrimitives::new(threads);
-                let label = format!(
-                    "workload {workload:?}, {}, threads {threads}",
-                    policy.label()
-                );
-
-                let linial = arb_linial_coloring_with_runtime(
-                    &relabeled,
-                    &pushed_orientation,
-                    Some(&pushed_initial),
-                    &primitives,
-                )
-                .expect("relabeled Arb-Linial succeeds");
-                assert_eq!(
-                    permutation.unpermute_coloring(&linial.coloring),
-                    linial_reference.coloring,
-                    "arb-linial: {label}"
-                );
-                assert_eq!(
-                    linial_reference.palette_trajectory, linial.palette_trajectory,
-                    "arb-linial trajectory: {label}"
-                );
-
-                let kw = kw_color_reduction_with_runtime(
-                    &relabeled,
-                    &pushed_initial,
-                    delta,
-                    &primitives,
-                )
-                .expect("relabeled KW succeeds");
-                assert_eq!(
-                    permutation.unpermute_coloring(&kw.coloring),
-                    kw_reference.coloring,
-                    "kw: {label}"
-                );
-                assert_eq!(
-                    kw_reference.palette_trajectory, kw.palette_trajectory,
-                    "kw trajectory: {label}"
-                );
-
-                let recolored = recolor_layers_with_runtime(
-                    &relabeled,
-                    &pushed_partition,
-                    &pushed_initial,
-                    RecolorOrder::HighestAvailable,
-                    &primitives,
-                )
-                .expect("relabeled recolor succeeds");
-                assert_eq!(
-                    permutation.unpermute_coloring(&recolored.coloring),
-                    recolor_reference.coloring,
-                    "recolor: {label}"
-                );
-                assert_eq!(
-                    recolor_reference.repaired_conflicts, recolored.repaired_conflicts,
-                    "recolor conflicts: {label}"
-                );
-
-                let derand = derandomized_coloring_relabeled(
-                    &relabeled,
-                    &derand_params,
-                    &permutation,
-                    &primitives,
-                );
-                assert_eq!(
-                    permutation.unpermute_coloring(&derand.coloring),
-                    derand_reference.coloring,
-                    "derand: {label}"
-                );
-                assert_eq!(
-                    derand_reference.uncolored_history, derand.uncolored_history,
-                    "derand history: {label}"
-                );
-                assert_eq!(derand_reference.mpc_rounds, derand.mpc_rounds);
-            }
-        }
-    }
-}
-
 /// End-to-end: the full drivers stay bit-identical across a thread matrix
 /// now that the intra-layer loops are parallel too, and parallel runs
 /// record intra-layer task counts (excluded from metric equality).
@@ -533,8 +459,8 @@ fn drivers_agree_across_thread_matrix_and_record_intra_stats() {
 }
 
 /// The allocation-discipline regression test: one shared `RoundPrimitives`
-/// context — and therefore one shared set of scratch pools, marker sets
-/// and recycled reduce grids — runs *different* workloads back-to-back
+/// context — and therefore one shared set of scratch pools and marker
+/// sets — runs *different* workloads back-to-back
 /// through every simulator, twice (the second pass leases only warm,
 /// previously-dirty buffers). Results must be bit-identical to
 /// fresh-context runs; a stale epoch, an unreset marker, or a dirty
