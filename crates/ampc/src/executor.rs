@@ -155,6 +155,7 @@ impl<'a> MachineContext<'a> {
     ///
     /// [`ModelError::WriteBudgetExceeded`] if the machine already used its
     /// `O(S)` write budget this round.
+    #[inline]
     pub fn write(&mut self, key: Key, value: Value) -> Result<(), ModelError> {
         if self.writes.len() >= self.write_budget {
             return Err(ModelError::WriteBudgetExceeded {

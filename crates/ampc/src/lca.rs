@@ -92,6 +92,7 @@ impl<'g> LcaOracle<'g> {
     ///
     /// [`ModelError::QueryBudgetExceeded`] when the `1 + degree(v)` queries
     /// do not fit the remaining budget; the call is then not charged at all.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> Result<&'g [NodeId], ModelError> {
         let graph: &'g CsrGraph = self.graph;
         self.charge_many(1 + graph.degree(v))?;

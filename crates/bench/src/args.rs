@@ -1,6 +1,6 @@
 //! Tiny `--flag=value` argument parsing shared by the workspace's binaries
-//! (`experiments`, `intra_bench`, `loadgen`, `ampc-serve`); the build has
-//! no registry access, so there is no clap.
+//! (`experiments`, `intra_bench`, `bench_diff`, `loadgen`, `ampc-serve`);
+//! the build has no registry access, so there is no clap.
 
 /// Last value of `--{name}=value` parsed as `T`, if present and parseable.
 pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
@@ -41,10 +41,7 @@ pub fn malformed_argument<'a>(
     lists: &[&str],
 ) -> Option<&'a str> {
     let positive = |raw: &str| raw.parse::<usize>().is_ok_and(|value| value > 0);
-    args.iter().map(String::as_str).find(|arg| {
-        let Some((name, raw)) = arg.strip_prefix("--").and_then(|flag| flag.split_once('=')) else {
-            return false;
-        };
+    first_malformed(args, |name, raw| {
         if counts.contains(&name) {
             !positive(raw)
         } else if lists.contains(&name) {
@@ -52,6 +49,28 @@ pub fn malformed_argument<'a>(
         } else {
             false
         }
+    })
+}
+
+/// The first `--{name}=value` argument with `name` in `names` whose value
+/// is not a finite non-negative number (`0.15`, `2`, `1e-3`), if any. Like
+/// [`malformed_argument`], it checks every occurrence.
+pub fn malformed_number<'a>(args: &'a [String], names: &[&str]) -> Option<&'a str> {
+    first_malformed(args, |name, raw| {
+        names.contains(&name)
+            && !raw
+                .parse::<f64>()
+                .is_ok_and(|value| value.is_finite() && value >= 0.0)
+    })
+}
+
+/// The first `--{name}=value` argument for which `malformed(name, value)`
+/// holds.
+fn first_malformed(args: &[String], malformed: impl Fn(&str, &str) -> bool) -> Option<&str> {
+    args.iter().map(String::as_str).find(|arg| {
+        arg.strip_prefix("--")
+            .and_then(|flag| flag.split_once('='))
+            .is_some_and(|(name, raw)| malformed(name, raw))
     })
 }
 
@@ -127,6 +146,42 @@ mod tests {
         ] {
             assert_eq!(
                 malformed_argument(&args(list), counts, lists),
+                Some(malformed),
+                "{list:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_number_rejects_what_is_not_a_finite_non_negative_number() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        let names = &["rel-threshold", "abs-floor"][..];
+        let valid = args(&[
+            "--rel-threshold=0.15",
+            "--abs-floor=2",
+            "--abs-floor=0",
+            "--rel-threshold=1e-3",
+            "--allow-wall-regression",
+            "--out=delta.md",
+            "--other=abc",
+        ]);
+        assert_eq!(malformed_number(&valid, names), None);
+        assert_eq!(malformed_number(&[], names), None);
+        for (list, malformed) in [
+            (&["--rel-threshold=abc"][..], "--rel-threshold=abc"),
+            (&["--rel-threshold="][..], "--rel-threshold="),
+            (&["--abs-floor=-1"][..], "--abs-floor=-1"),
+            (&["--abs-floor=NaN"][..], "--abs-floor=NaN"),
+            (&["--rel-threshold=inf"][..], "--rel-threshold=inf"),
+            (&["--rel-threshold=0.5%"][..], "--rel-threshold=0.5%"),
+            (&["--rel-threshold= 0.5"][..], "--rel-threshold= 0.5"),
+            (
+                &["--rel-threshold=0.2", "--abs-floor=1", "--rel-threshold=x"][..],
+                "--rel-threshold=x",
+            ),
+        ] {
+            assert_eq!(
+                malformed_number(&args(list), names),
                 Some(malformed),
                 "{list:?}"
             );

@@ -20,10 +20,15 @@
 //!   (e.g. to append to `$GITHUB_STEP_SUMMARY`); it always goes to
 //!   stdout regardless.
 //!
+//! Any other `--` argument, or a threshold or floor that is not a finite
+//! non-negative number, prints the usage and exits 2 before any file is
+//! read: a typo in a regression gate's threshold must not run the gate
+//! with the default.
+//!
 //! Exit status: 0 when no regression (informational movements are fine),
 //! 1 on any regression that is not downgraded, 2 on usage/parse errors.
 
-use ampc_coloring_bench::args::{has_flag, parse_flag};
+use ampc_coloring_bench::args::{has_flag, malformed_number, parse_flag, unknown_argument};
 use ampc_coloring_bench::diff::{diff_tables, parse_table, render_markdown, DiffConfig};
 
 fn load(path: &str) -> ampc_coloring_bench::diff::BenchTable {
@@ -37,21 +42,34 @@ fn load(path: &str) -> ampc_coloring_bench::diff::BenchTable {
     })
 }
 
+const USAGE: &str = "usage: bench_diff <baseline.json> <current.json> \
+                     [--rel-threshold=F] [--abs-floor=F] [--allow-wall-regression] [--out=PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let (flags, positional): (Vec<String>, Vec<String>) = std::env::args()
+        .skip(1)
+        .partition(|arg| arg.starts_with("--"));
+    if let Some(unknown) = unknown_argument(
+        &flags,
+        &["allow-wall-regression"],
+        &["rel-threshold", "abs-floor", "out"],
+    ) {
+        eprintln!("bench_diff: unknown argument `{unknown}`\n{USAGE}");
+        std::process::exit(2);
+    }
+    if let Some(malformed) = malformed_number(&flags, &["rel-threshold", "abs-floor"]) {
+        eprintln!("bench_diff: malformed argument `{malformed}`\n{USAGE}");
+        std::process::exit(2);
+    }
     let [baseline_path, current_path] = positional.as_slice() else {
-        eprintln!(
-            "usage: bench_diff <baseline.json> <current.json> \
-             [--rel-threshold=F] [--abs-floor=F] [--allow-wall-regression] [--out=PATH]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
 
     let config = DiffConfig {
-        rel_threshold: parse_flag(&args, "rel-threshold").unwrap_or(0.15),
-        abs_floor: parse_flag(&args, "abs-floor").unwrap_or(2.0),
-        allow_soft: has_flag(&args, "allow-wall-regression"),
+        rel_threshold: parse_flag(&flags, "rel-threshold").unwrap_or(0.15),
+        abs_floor: parse_flag(&flags, "abs-floor").unwrap_or(2.0),
+        allow_soft: has_flag(&flags, "allow-wall-regression"),
     };
     let baseline = load(baseline_path);
     let current = load(current_path);
@@ -68,7 +86,7 @@ fn main() {
     let report = diff_tables(&baseline, &current, &config);
     let markdown = render_markdown(&current.id, &baseline, &current, &report, &config);
     print!("{markdown}");
-    if let Some(path) = parse_flag::<String>(&args, "out") {
+    if let Some(path) = parse_flag::<String>(&flags, "out") {
         if let Err(error) = std::fs::write(&path, &markdown) {
             eprintln!("bench_diff: cannot write {path}: {error}");
             std::process::exit(2);

@@ -145,6 +145,7 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if `v >= self.num_nodes()`.
+    #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         self.offsets[v + 1] - self.offsets[v]
     }
@@ -154,6 +155,7 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if `v >= self.num_nodes()`.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }

@@ -12,7 +12,10 @@ use crate::types::{Edge, NodeId};
 /// β-partition, and arbitrarily inside a layer, yields an acyclic orientation
 /// of out-degree at most β, and coloring then proceeds "from the sinks".
 ///
-/// The orientation stores, for every node, the list of its *out*-neighbors.
+/// The out-neighbor lists are stored flat, as one CSR (`offsets` plus
+/// `targets`) like [`CsrGraph`]'s, so building an orientation costs two
+/// allocations whatever the node count; the per-layer coloring builds one
+/// for every layer.
 ///
 /// # Examples
 ///
@@ -28,25 +31,38 @@ use crate::types::{Edge, NodeId};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Orientation {
-    out_neighbors: Vec<Vec<NodeId>>,
+    /// `offsets[v]..offsets[v + 1]` is the slice of `targets` holding `v`'s
+    /// out-neighbors.
+    offsets: Vec<usize>,
+    /// Concatenated out-neighbor lists.
+    targets: Vec<NodeId>,
 }
 
 impl Orientation {
     /// Creates an orientation with no oriented edges on `n` nodes.
     pub fn empty(n: usize) -> Self {
         Orientation {
-            out_neighbors: vec![Vec::new(); n],
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
     /// Builds an orientation from explicit per-node out-neighbor lists.
     pub fn from_out_neighbors(out_neighbors: Vec<Vec<NodeId>>) -> Self {
-        Orientation { out_neighbors }
+        let mut offsets = Vec::with_capacity(out_neighbors.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(out_neighbors.iter().map(Vec::len).sum());
+        for list in &out_neighbors {
+            targets.extend_from_slice(list);
+            offsets.push(targets.len());
+        }
+        Orientation { offsets, targets }
     }
 
     /// Orients every edge of `graph` from the endpoint with the smaller key
     /// to the endpoint with the larger key, breaking ties towards the larger
-    /// node id. The resulting orientation is always acyclic.
+    /// node id. The resulting orientation is always acyclic, and every
+    /// out-neighbor list is sorted.
     ///
     /// With `key = degeneracy position` this produces the classic
     /// `out-degree ≤ degeneracy` orientation; with `key = β-partition layer`
@@ -55,26 +71,34 @@ impl Orientation {
     where
         F: Fn(NodeId) -> usize,
     {
-        let n = graph.num_nodes();
-        let mut out_neighbors = vec![Vec::new(); n];
-        for (u, v) in graph.edges() {
-            let (from, to) = orient_edge(u, v, key(u), key(v));
-            out_neighbors[from].push(to);
+        // Row `u` keeps the neighbors `v` with `(key(u), u) < (key(v), v)`,
+        // so every edge lands in exactly one row, and filtering `u`'s
+        // sorted adjacency list keeps the row sorted.
+        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(graph.num_edges());
+        for u in graph.nodes() {
+            let rank = (key(u), u);
+            targets.extend(
+                graph
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&v| rank < (key(v), v)),
+            );
+            offsets.push(targets.len());
         }
-        for list in &mut out_neighbors {
-            list.sort_unstable();
-        }
-        Orientation { out_neighbors }
+        Orientation { offsets, targets }
     }
 
     /// Number of nodes of the underlying graph.
     pub fn num_nodes(&self) -> usize {
-        self.out_neighbors.len()
+        self.offsets.len() - 1
     }
 
     /// Number of oriented edges.
     pub fn num_oriented_edges(&self) -> usize {
-        self.out_neighbors.iter().map(Vec::len).sum()
+        self.targets.len()
     }
 
     /// Out-neighbors of node `v`.
@@ -83,25 +107,26 @@ impl Orientation {
     ///
     /// Panics if `v` is out of range.
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.out_neighbors[v]
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Out-degree of node `v`.
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_neighbors[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Maximum out-degree over all nodes.
     pub fn max_out_degree(&self) -> usize {
-        self.out_neighbors.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|row| row[1] - row[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Iterator over the oriented edges as `(from, to)` pairs.
     pub fn oriented_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.out_neighbors
-            .iter()
-            .enumerate()
-            .flat_map(|(u, outs)| outs.iter().map(move |&v| (u, v)))
+        (0..self.num_nodes()).flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
 
     /// Checks that every undirected edge of `graph` is oriented exactly once
@@ -187,19 +212,11 @@ impl Orientation {
     }
 }
 
-/// Orients the edge `{u, v}` from smaller key to larger key, breaking ties by
-/// node id (smaller id → larger id) so the orientation stays acyclic.
-fn orient_edge(u: NodeId, v: NodeId, key_u: usize, key_v: usize) -> (NodeId, NodeId) {
-    if (key_u, u) < (key_v, v) {
-        (u, v)
-    } else {
-        (v, u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn cycle(n: usize) -> CsrGraph {
         CsrGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)))
@@ -264,6 +281,102 @@ mod tests {
         let o = Orientation::from_total_order(&star, |v| if v == 0 { 0 } else { 1 });
         assert_eq!(o.out_degree(0), 4);
         assert_eq!(o.max_out_degree(), 4);
+    }
+
+    /// The per-node construction the flat one replaced: push each edge
+    /// `{u, v}` onto the row of the endpoint with the smaller `(key, id)`,
+    /// then sort every row.
+    fn per_node_rows(graph: &CsrGraph, key: impl Fn(NodeId) -> usize) -> Vec<Vec<NodeId>> {
+        let mut rows = vec![Vec::new(); graph.num_nodes()];
+        for (u, v) in graph.edges() {
+            let (from, to) = if (key(u), u) < (key(v), v) {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            rows[from].push(to);
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        rows
+    }
+
+    #[test]
+    fn flat_orientation_matches_the_per_node_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        for case in 0..24 {
+            // Random graphs with isolated nodes: edges only among the first
+            // `used` of `n` nodes, plus some nodes with no edge inside it.
+            let n = rng.gen_range(1..400usize);
+            let used = rng.gen_range(1..n + 1);
+            let m = rng.gen_range(0..4 * used);
+            let edges: Vec<Edge> = (0..m)
+                .map(|_| (rng.gen_range(0..used), rng.gen_range(0..used)))
+                .collect();
+            let graph = CsrGraph::from_edges(n, edges);
+            let layers: Vec<usize> = (0..n).map(|_| rng.gen_range(0..4usize)).collect();
+            let keys: [(&str, &dyn Fn(NodeId) -> usize); 4] = [
+                ("id order", &|v| v),
+                ("reverse id order", &|v| n - v),
+                ("ties", &|v| v % 3),
+                ("layers", &|v| layers[v]),
+            ];
+            for (name, key) in keys {
+                let context = format!("case {case}, {name}, n {n}");
+                let oriented = Orientation::from_total_order(&graph, key);
+                let oracle = per_node_rows(&graph, key);
+                assert_eq!(oriented.num_nodes(), n, "{context}");
+                for (v, row) in oracle.iter().enumerate() {
+                    assert_eq!(oriented.out_neighbors(v), &row[..], "{context}, node {v}");
+                    assert_eq!(oriented.out_degree(v), row.len(), "{context}, node {v}");
+                }
+                assert_eq!(
+                    oriented.num_oriented_edges(),
+                    oracle.iter().map(Vec::len).sum::<usize>(),
+                    "{context}"
+                );
+                assert_eq!(
+                    oriented.max_out_degree(),
+                    oracle.iter().map(Vec::len).max().unwrap_or(0),
+                    "{context}"
+                );
+                assert!(oriented.covers_graph(&graph), "{context}");
+                let order = oriented.topological_order().expect("acyclic");
+                let mut position = vec![usize::MAX; n];
+                for (index, &v) in order.iter().enumerate() {
+                    position[v] = index;
+                }
+                assert!(position.iter().all(|&p| p < n), "{context}: a permutation");
+                for (u, row) in oracle.iter().enumerate() {
+                    assert!(row.iter().all(|&v| position[u] < position[v]), "{context}");
+                }
+                // Round trips through explicit lists, both ways.
+                assert_eq!(Orientation::from_out_neighbors(oracle.clone()), oriented);
+                let rows: Vec<Vec<NodeId>> =
+                    (0..n).map(|v| oriented.out_neighbors(v).to_vec()).collect();
+                assert_eq!(rows, oracle, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_lists_keep_their_order_and_empty_has_no_edges() {
+        let lists = vec![vec![3, 1], vec![], vec![0], vec![]];
+        let o = Orientation::from_out_neighbors(lists.clone());
+        assert_eq!(o.num_nodes(), 4);
+        for (v, list) in lists.iter().enumerate() {
+            assert_eq!(o.out_neighbors(v), &list[..]);
+        }
+        assert_eq!(
+            o.oriented_edges().collect::<Vec<_>>(),
+            vec![(0, 3), (0, 1), (2, 0)]
+        );
+        let empty = Orientation::empty(3);
+        assert_eq!((empty.num_nodes(), empty.num_oriented_edges()), (3, 0));
+        assert_eq!(empty.max_out_degree(), 0);
+        assert_eq!(Orientation::empty(0).max_out_degree(), 0);
+        assert_eq!(Orientation::from_out_neighbors(vec![vec![]; 3]), empty);
     }
 
     #[test]

@@ -31,9 +31,14 @@ pub struct InducedSubgraph {
     graph: CsrGraph,
     /// `local_to_original[local] = original`.
     local_to_original: Vec<NodeId>,
-    /// `original_to_local[original] = Some(local)` for retained nodes.
-    original_to_local: Vec<Option<NodeId>>,
+    /// `original_to_local[original] = local` for retained nodes, [`ABSENT`]
+    /// for the rest: one word per parent node, not an `Option`'s two.
+    original_to_local: Vec<NodeId>,
 }
+
+/// The `original_to_local` entry of a node outside the subgraph; no local id
+/// reaches it, since local ids stay below the parent's node count.
+const ABSENT: NodeId = NodeId::MAX;
 
 impl InducedSubgraph {
     /// Builds the subgraph of `parent` induced by `nodes`.
@@ -46,18 +51,22 @@ impl InducedSubgraph {
     /// Panics if `nodes` references a node outside the parent graph.
     pub fn new(parent: &CsrGraph, nodes: &[NodeId]) -> Self {
         let n = parent.num_nodes();
-        let mut original_to_local: Vec<Option<NodeId>> = vec![None; n];
+        let mut original_to_local = vec![ABSENT; n];
         let mut local_to_original = Vec::with_capacity(nodes.len());
         for &v in nodes {
             assert!(v < n, "node {v} outside parent graph of size {n}");
-            if original_to_local[v].is_none() {
-                original_to_local[v] = Some(local_to_original.len());
+            if original_to_local[v] == ABSENT {
+                original_to_local[v] = local_to_original.len();
                 local_to_original.push(v);
             }
         }
 
         // The CSR arrays are filled row by row in local-id order; a row
-        // lists the retained neighbors, sorted in place.
+        // lists the retained neighbors. When the local ids follow the
+        // original order (an ascending selection, as every partition round
+        // and layer passes), the parent's sorted row maps to a sorted row;
+        // otherwise each row is sorted in place.
+        let ascending = local_to_original.windows(2).all(|pair| pair[0] < pair[1]);
         let mut offsets = Vec::with_capacity(local_to_original.len() + 1);
         offsets.push(0);
         let mut targets = Vec::new();
@@ -67,9 +76,12 @@ impl InducedSubgraph {
                 parent
                     .neighbors(orig_u)
                     .iter()
-                    .filter_map(|&orig_w| original_to_local[orig_w]),
+                    .map(|&orig_w| original_to_local[orig_w])
+                    .filter(|&local_w| local_w != ABSENT),
             );
-            targets[start..].sort_unstable();
+            if !ascending {
+                targets[start..].sort_unstable();
+            }
             offsets.push(targets.len());
         }
 
@@ -103,7 +115,10 @@ impl InducedSubgraph {
     /// Maps an original node id to its local id, or `None` if the node was
     /// not retained.
     pub fn to_local(&self, original: NodeId) -> Option<NodeId> {
-        self.original_to_local.get(original).copied().flatten()
+        self.original_to_local
+            .get(original)
+            .copied()
+            .filter(|&local| local != ABSENT)
     }
 
     /// The original node ids retained in the subgraph, indexed by local id.
@@ -166,30 +181,62 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let parent = crate::generators::preferential_attachment(600, 3, &mut rng);
-        let mut nodes: Vec<NodeId> = parent.nodes().filter(|v| v % 3 != 1).collect();
-        nodes.shuffle(&mut rng);
-        let sub = InducedSubgraph::new(&parent, &nodes);
-        // Reference: one sorted adjacency list per retained node.
-        let adjacency: Vec<Vec<NodeId>> = nodes
+        let ascending: Vec<NodeId> = parent.nodes().filter(|v| v % 3 != 1).collect();
+        let mut shuffled = ascending.clone();
+        shuffled.shuffle(&mut rng);
+        // Ascending with repeats: the local ids still follow the original
+        // order, so the rows need no sort either.
+        let repeated: Vec<NodeId> = ascending
             .iter()
-            .map(|&u| {
-                let mut row: Vec<NodeId> = parent
-                    .neighbors(u)
-                    .iter()
-                    .filter_map(|&w| nodes.iter().position(|&x| x == w))
-                    .collect();
-                row.sort_unstable();
-                row
-            })
+            .flat_map(|&v| std::iter::repeat_n(v, if v % 4 == 3 { 2 } else { 1 }))
             .collect();
-        let mut offsets = vec![0];
-        let mut targets = Vec::new();
-        for row in &adjacency {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len());
+        assert!(repeated.len() > ascending.len());
+        for (name, nodes) in [
+            ("shuffled", &shuffled),
+            ("ascending", &ascending),
+            ("ascending with duplicates", &repeated),
+        ] {
+            let sub = InducedSubgraph::new(&parent, nodes);
+            // Reference: one sorted adjacency list per retained node, in
+            // first-occurrence order.
+            let mut distinct: Vec<NodeId> = Vec::new();
+            for &v in nodes {
+                if !distinct.contains(&v) {
+                    distinct.push(v);
+                }
+            }
+            let adjacency: Vec<Vec<NodeId>> = distinct
+                .iter()
+                .map(|&u| {
+                    let mut row: Vec<NodeId> = parent
+                        .neighbors(u)
+                        .iter()
+                        .filter_map(|&w| distinct.iter().position(|&x| x == w))
+                        .collect();
+                    row.sort_unstable();
+                    row
+                })
+                .collect();
+            let mut offsets = vec![0];
+            let mut targets = Vec::new();
+            for row in &adjacency {
+                targets.extend_from_slice(row);
+                offsets.push(targets.len());
+            }
+            assert_eq!(
+                sub.graph(),
+                &CsrGraph::from_csr_parts(offsets, targets),
+                "{name}"
+            );
+            assert_eq!(sub.original_nodes(), &distinct[..], "{name}");
+            for v in parent.nodes() {
+                assert_eq!(
+                    sub.to_local(v),
+                    distinct.iter().position(|&x| x == v),
+                    "{name}"
+                );
+            }
         }
-        assert_eq!(sub.graph(), &CsrGraph::from_csr_parts(offsets, targets));
-        assert_eq!(sub.original_nodes(), &nodes[..]);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Chunk {
         chunk: &M,
         input: &Layers<'_>,
         next: &[AtomicU32],
-        config: &AmpcConfig,
+        (read_budget, write_budget): (usize, usize),
         attempt: &Attempt<'_>,
     ) where
         M: Fn() -> B,
@@ -105,8 +105,8 @@ impl Chunk {
             let mut ctx = MachineContext::for_round(
                 machine,
                 input,
-                config.read_budget(),
-                config.write_budget(),
+                read_budget,
+                write_budget,
                 &mut self.writes,
             );
             if let Err(error) = body(machine, &mut ctx) {
@@ -132,7 +132,9 @@ impl Chunk {
 /// The store is a dense `u32` array indexed by node. Machines run in
 /// consecutive id ranges, one task per thread on a persistent
 /// [`WorkerPool`] (a single range runs inline on the calling thread), each
-/// through a [`MachineContext`] with the model's read and write budgets.
+/// through a [`MachineContext`] with the model's read and write budgets,
+/// which are computed once per round (they are constant within it), not
+/// once per machine.
 /// A range gets its machine body from a per-chunk factory, so the scratch
 /// its machines reuse (the partition's coin-game state) is leased once per
 /// range, not once per machine. Right after a machine's body returns, each
@@ -280,12 +282,13 @@ impl RoundEngine {
                 .with_arg("machines", machines as u64);
             let input = &Layers(&self.layers);
             let next = &self.next[..];
-            let config = &self.config;
+            // The budgets are constant within a round, and each is a `powf`.
+            let budgets = (self.config.read_budget(), self.config.write_budget());
             let tasks: Vec<ScopedTask<'_>> = chunks
                 .iter_mut()
                 .zip(ranges)
                 .map(|(state, range)| {
-                    Box::new(move || state.run(range, chunk, input, next, config, attempt))
+                    Box::new(move || state.run(range, chunk, input, next, budgets, attempt))
                         as ScopedTask<'_>
                 })
                 .collect();
