@@ -281,6 +281,7 @@ mod tests {
         let o = Orientation::from_total_order(&star, |v| if v == 0 { 0 } else { 1 });
         assert_eq!(o.out_degree(0), 4);
         assert_eq!(o.max_out_degree(), 4);
+        assert_eq!(Orientation::empty(0).max_out_degree(), 0);
     }
 
     /// The per-node construction the flat one replaced: push each edge
@@ -351,32 +352,25 @@ mod tests {
                 for (u, row) in oracle.iter().enumerate() {
                     assert!(row.iter().all(|&v| position[u] < position[v]), "{context}");
                 }
-                // Round trips through explicit lists, both ways.
+                // Round trips through explicit lists, both ways. Explicit
+                // lists keep their order: reversed rows come back reversed.
                 assert_eq!(Orientation::from_out_neighbors(oracle.clone()), oriented);
                 let rows: Vec<Vec<NodeId>> =
                     (0..n).map(|v| oriented.out_neighbors(v).to_vec()).collect();
                 assert_eq!(rows, oracle, "{context}");
+                let reversed: Vec<Vec<NodeId>> = oracle
+                    .iter()
+                    .map(|row| row.iter().rev().copied().collect())
+                    .collect();
+                let explicit = Orientation::from_out_neighbors(reversed.clone());
+                for (v, row) in reversed.iter().enumerate() {
+                    assert_eq!(explicit.out_neighbors(v), &row[..], "{context}, node {v}");
+                }
             }
+            let empty = Orientation::empty(n);
+            assert_eq!((empty.num_oriented_edges(), empty.max_out_degree()), (0, 0));
+            assert_eq!(Orientation::from_out_neighbors(vec![Vec::new(); n]), empty);
         }
-    }
-
-    #[test]
-    fn explicit_lists_keep_their_order_and_empty_has_no_edges() {
-        let lists = vec![vec![3, 1], vec![], vec![0], vec![]];
-        let o = Orientation::from_out_neighbors(lists.clone());
-        assert_eq!(o.num_nodes(), 4);
-        for (v, list) in lists.iter().enumerate() {
-            assert_eq!(o.out_neighbors(v), &list[..]);
-        }
-        assert_eq!(
-            o.oriented_edges().collect::<Vec<_>>(),
-            vec![(0, 3), (0, 1), (2, 0)]
-        );
-        let empty = Orientation::empty(3);
-        assert_eq!((empty.num_nodes(), empty.num_oriented_edges()), (3, 0));
-        assert_eq!(empty.max_out_degree(), 0);
-        assert_eq!(Orientation::empty(0).max_out_degree(), 0);
-        assert_eq!(Orientation::from_out_neighbors(vec![vec![]; 3]), empty);
     }
 
     #[test]

@@ -62,11 +62,7 @@ impl InducedSubgraph {
         }
 
         // The CSR arrays are filled row by row in local-id order; a row
-        // lists the retained neighbors. When the local ids follow the
-        // original order (an ascending selection, as every partition round
-        // and layer passes), the parent's sorted row maps to a sorted row;
-        // otherwise each row is sorted in place.
-        let ascending = local_to_original.windows(2).all(|pair| pair[0] < pair[1]);
+        // lists the retained neighbors, sorted in place.
         let mut offsets = Vec::with_capacity(local_to_original.len() + 1);
         offsets.push(0);
         let mut targets = Vec::new();
@@ -79,9 +75,7 @@ impl InducedSubgraph {
                     .map(|&orig_w| original_to_local[orig_w])
                     .filter(|&local_w| local_w != ABSENT),
             );
-            if !ascending {
-                targets[start..].sort_unstable();
-            }
+            targets[start..].sort_unstable();
             offsets.push(targets.len());
         }
 
@@ -184,8 +178,6 @@ mod tests {
         let ascending: Vec<NodeId> = parent.nodes().filter(|v| v % 3 != 1).collect();
         let mut shuffled = ascending.clone();
         shuffled.shuffle(&mut rng);
-        // Ascending with repeats: the local ids still follow the original
-        // order, so the rows need no sort either.
         let repeated: Vec<NodeId> = ascending
             .iter()
             .flat_map(|&v| std::iter::repeat_n(v, if v % 4 == 3 { 2 } else { 1 }))

@@ -18,11 +18,11 @@ use ampc_model::{
     AmpcConfig, AmpcMetrics, Key, LcaOracle, ModelError, RoundReport, RoundRuntimeStats, Value,
 };
 use ampc_runtime::trace::{span_on, TraceContext};
-use ampc_runtime::{simd, RuntimeConfig, ScratchPool};
+use ampc_runtime::{RuntimeConfig, ScratchPool};
 use sparse_graph::{CsrGraph, InducedSubgraph, NodeId};
 
 use crate::beta::BetaPartition;
-use crate::coin_game::{forwards, CoinGameConfig, CoinGameScratch};
+use crate::coin_game::{CoinGameConfig, CoinGameScratch};
 use crate::layer::Layer;
 use crate::lca::partial_partition_lca_with;
 
@@ -227,29 +227,6 @@ fn partition_round_config(graph: &CsrGraph, params: &PartitionParams) -> AmpcCon
     config.with_space_slack(slack)
 }
 
-/// How many machines ahead of the playing one an LCA round looks for a root
-/// whose rows to prefetch ([`prefetch_forwarded_rows`]). 4 and 8 measured
-/// alike.
-const PREFETCH_ROOTS_AHEAD: usize = 4;
-
-/// Hints toward the cache the adjacency rows that `root`'s coin game copies
-/// first, if the root forwards its `x` starting coins ([`forwards`]). In
-/// the first super-iteration every neighbor is unexplored at `σ = ∞`, so
-/// ties fall to node id and the forwarding set is the `min(deg, β + 1)`
-/// smallest neighbors, the head of the ascending row. Each of them joins
-/// `S_v` at the end of that super-iteration, and its row is copied then: a
-/// cache miss per neighbor that the hint overlaps with the games played in
-/// between. A root that keeps its coins (on power-law graphs every degree
-/// is at least 8 > x = 4) prefetches nothing. The hint reads the graph
-/// directly, so it counts no query and changes no result.
-fn prefetch_forwarded_rows(graph: &CsrGraph, root: NodeId, config: &CoinGameConfig) {
-    if root < graph.num_nodes() && forwards(graph.degree(root), config.beta, config.x as f64) {
-        for &w in graph.neighbors(root).iter().take(config.beta + 1) {
-            simd::prefetch_read(graph.neighbors(w), 0);
-        }
-    }
-}
-
 /// Folds the reports of an LCA attempt and its peeling fallback (run as two
 /// engine rounds) into the one logical AMPC round they constitute.
 fn combine_reports(lca: &RoundReport, peel: &RoundReport) -> RoundReport {
@@ -383,7 +360,6 @@ pub fn ampc_beta_partition_traced(
                 // scratch; each game resets it before it starts.
                 let mut lease = scratch.lease();
                 move |machine, ctx| {
-                    prefetch_forwarded_rows(sub, machine + PREFETCH_ROOTS_AHEAD, &config);
                     // A fresh oracle view per machine: queries are counted
                     // per machine, exactly the per-node accounting of
                     // Lemma 4.7.

@@ -50,14 +50,6 @@
 //! `σ` pass, and 111 ms without them; round 1 of the 25,000-node power-law
 //! body (β = 23) went from 8.6 to 5.0 ms.
 //!
-//! What a game that small still waits on is memory. A node joins `S_v`
-//! with its adjacency row copied from the graph, and the rows of a root's
-//! neighbors lie anywhere in the CSR. So the partition's round body
-//! prefetches those rows a few machines ahead for every root that
-//! [`forwards`] its `x` starting coins, by the same rule the flow applies.
-//! On the forest union that is every root of degree at most 4; on the
-//! power-law body it is none, since every degree there is at least 8.
-//!
 //! Coins are `f64`. Each flow iteration visits the holders in ascending
 //! node id and adds shares in forwarding-set order, which fixes the
 //! floating-point summation order of every node's coins.
@@ -162,18 +154,6 @@ fn log_base_floor(value: usize, base: usize) -> usize {
         result += 1;
     }
     result
-}
-
-/// Whether a holder of `coins` coins with `degree` neighbors forwards them
-/// in a flow step: its coins cover its forwarding set, whose size
-/// `|F(σ, u)| = min(deg(u), β + 1)` is known before the set is built, and
-/// that set is not empty. Otherwise the holder keeps its coins.
-///
-/// The partition's round body asks the same of a root and its `x` starting
-/// coins to prefetch the rows the root's first flow step will explore.
-pub(crate) fn forwards(degree: usize, beta: usize, coins: f64) -> bool {
-    let fanout = degree.min(beta + 1);
-    fanout > 0 && coins >= fanout as f64
 }
 
 /// `σ` of a slot whose node is not layered (yet): `∞`.
@@ -501,9 +481,11 @@ impl CoinGameScratch {
         for index in 0..self.holders.len() {
             let holder = self.holders[index];
             let amount = self.slots[holder].coins;
-            // Only a holder that forwards ranks its neighbors (an
-            // unexplored holder has no adjacency yet, so it keeps them).
-            if forwards(self.slots[holder].neighbors.len(), beta, amount) {
+            // |F(σ, u)| = min(deg(u), β + 1), known before the set is built
+            // (an unexplored holder has no adjacency yet, so 0): only a
+            // holder that forwards ranks its neighbors.
+            let fanout = self.slots[holder].neighbors.len().min(beta + 1);
+            if fanout > 0 && amount >= fanout as f64 {
                 let targets = self.forwarding_set(holder, round, beta);
                 let share = amount / targets.len() as f64;
                 for offset in targets {
